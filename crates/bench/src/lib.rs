@@ -7,7 +7,8 @@
 //! * [`arexec`] — wall-clock baseline of the morsel-parallel A&R pipeline
 //!   (`figures -- bench-arexec` writes `BENCH_arexec.json`);
 //! * [`scan`] — width × selectivity sweep of the packed-domain selection
-//!   paths: scalar vs SWAR, index vs bitmap, bit-identity enforced
+//!   kernel: scalar reference vs lane kernel, index vs bitmap, bit-identity
+//!   enforced
 //!   (`figures -- bench-scan` writes `BENCH_scan.json`);
 //! * [`multidev`] — 1-device vs 2-device A&R scheduling sweep
 //!   (`figures -- bench-multidev`);

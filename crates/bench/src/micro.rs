@@ -83,6 +83,7 @@ pub fn fig8_selection(env: &Env, n: usize, device_bits: u32, id: &str) -> Figure
         let cands = select_approx(
             &env.clone(),
             &col,
+            None,
             &range,
             &ScanOptions::default(),
             &mut approx_ledger,
@@ -139,7 +140,14 @@ pub fn fig8c_bits_sweep(env: &Env, n: usize) -> Figure {
             let bound = micro::selectivity_bound(n, *sel);
             let range = RangePred::at_most(bound - 1);
             let mut ledger = CostLedger::new();
-            let cands = select_approx(env, &col, &range, &ScanOptions::default(), &mut ledger);
+            let cands = select_approx(
+                env,
+                &col,
+                None,
+                &range,
+                &ScanOptions::default(),
+                &mut ledger,
+            );
             ap[i] = ledger.breakdown().total();
             let refined =
                 select_refine(env, &col, &cands, None, &range, true, &mut ledger).expect("refine");
@@ -184,7 +192,14 @@ pub fn fig8_projection(env: &Env, n: usize, device_bits: u32, id: &str) -> Figur
         // The input candidate list comes from a (fully resident, exact)
         // selection — not part of the projection measurement.
         let mut setup = CostLedger::new();
-        let cands = select_approx(env, &sel_col, &range, &ScanOptions::default(), &mut setup);
+        let cands = select_approx(
+            env,
+            &sel_col,
+            None,
+            &range,
+            &ScanOptions::default(),
+            &mut setup,
+        );
         let survivors: Vec<Oid> = cands.oids.clone();
 
         let mut ledger = CostLedger::new();

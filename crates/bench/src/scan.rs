@@ -1,41 +1,36 @@
-//! Wall-clock benchmark of the packed-domain selection paths.
+//! Wall-clock benchmark of the packed-domain selection kernel.
 //!
 //! Sweeps element width × selectivity over one full-relation approximate
-//! selection and measures five real implementations of the same kernel
+//! selection and measures three real implementations of the same scan
 //! (identical simulated costs by construction):
 //!
-//! * **scalar/index** — the pre-SWAR reference: bulk-decode every element
-//!   into a scratch block, compare one value at a time, push (oid,
+//! * **scalar/index** — the reference: bulk-decode every element into a
+//!   scratch block, compare one value at a time, push (oid,
 //!   approximation) pairs;
-//! * **swar/index** — the PR 5 word-parallel path: banked compare in the
-//!   packed domain one backing word at a time, decode only for 64-blocks
-//!   that contain survivors, same output pairs;
-//! * **swar/bitmap** — the PR 5 mask path: the per-word SWAR compare
-//!   writes one match bit per row and nothing else;
-//! * **lane/index** — the PR 7 production path: the same SWAR compare
-//!   restructured over fixed-lane batches (8 backing words per
-//!   iteration, log-doubling lift/compact, hoisted bound constants);
-//! * **lane/bitmap** — the lane batch kernels filling the mask directly
+//! * **lane/index** — the production kernel
+//!   ([`bwd_kernels::scan::select_partition`]) emitting candidate pairs:
+//!   the SWAR compare in the packed domain over fixed-lane batches, decode
+//!   only for 64-blocks that contain survivors (widths past the SWAR limit
+//!   take its one-pass decode-compare-emit path);
+//! * **lane/bitmap** — the same kernel filling the match mask directly
 //!   (the representation the A&R executor keeps until the gather
 //!   boundary).
 //!
-//! Every cell is checked **bit-identical** across all five paths — the
-//! X4 lane flavor against X8, and the bitmap converted back to the index
-//! list through the scan's block-emission order — before its timing is
-//! reported. `BENCH_scan.json` (written by `figures -- bench-scan`) is
-//! the committed baseline; the CI smoke runs a reduced sweep and fails
-//! on any identity violation or on a lane-speedup regression against
-//! the committed baseline at the same scale.
+//! Every cell is checked **bit-identical** across all three paths — the
+//! bitmap converted back to the index list through the scan's
+//! block-emission order — before its timing is reported.
+//! `BENCH_scan.json` (written by `figures -- bench-scan`) is the committed
+//! baseline; the CI smoke runs a reduced sweep and fails on any identity
+//! violation or on a lane-speedup regression against the committed
+//! baseline at the same scale.
 
 use crate::report::Figure;
 use bwd_device::{CostLedger, Env};
-use bwd_kernels::scan::{
-    select_range_partition, select_range_partition_per_word, select_range_partition_scalar,
-};
-use bwd_kernels::{DeviceArray, ScanOptions, SelMask};
+use bwd_kernels::scan::{select, select_partition};
+use bwd_kernels::{DeviceArray, ScanInput, ScanOptions, ScanOut, ScanSrc, SelMask, SelVec};
 use bwd_obs::Clock;
-use bwd_storage::{mask_count, BitPackedVec, LaneCount, RangeMatcher};
-use bwd_types::{Result, SplitMix64};
+use bwd_storage::{mask_count, BitPackedVec, DECODE_BLOCK};
+use bwd_types::{Oid, Result, SplitMix64};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -58,23 +53,14 @@ pub struct ScanSample {
     pub matches: usize,
     /// Best wall seconds: scalar decode-and-compare index path.
     pub scalar_index_s: f64,
-    /// Best wall seconds: per-word SWAR index path (PR 5 baseline).
-    pub swar_index_s: f64,
-    /// Best wall seconds: per-word SWAR mask-only path (PR 5 baseline).
-    pub swar_bitmap_s: f64,
-    /// Best wall seconds: lane-batch index path (PR 7).
+    /// Best wall seconds: the kernel emitting candidate pairs.
     pub lane_index_s: f64,
-    /// Best wall seconds: lane-batch mask-only path (PR 7).
+    /// Best wall seconds: the kernel filling the match mask.
     pub lane_bitmap_s: f64,
-    /// `scalar_index_s / swar_index_s`.
+    /// `scalar_index_s / lane_index_s`.
     pub speedup_index: f64,
-    /// `scalar_index_s / swar_bitmap_s`.
+    /// `scalar_index_s / lane_bitmap_s`.
     pub speedup_bitmap: f64,
-    /// `swar_index_s / lane_index_s` — what the lane batches buy over
-    /// the per-word SWAR loop on the index path.
-    pub lane_vs_swar_index: f64,
-    /// `swar_bitmap_s / lane_bitmap_s` — same, on the mask fill.
-    pub lane_vs_swar_bitmap: f64,
 }
 
 /// The full sweep plus the identity verdict.
@@ -92,25 +78,35 @@ pub struct ScanReport {
 }
 
 impl ScanReport {
-    /// Best index-path speedup over the scalar baseline among cells with
-    /// `width <= max_width` (the acceptance gate looks at widths ≤ 16).
-    pub fn best_speedup_at_most(&self, max_width: u32) -> f64 {
+    /// Best speedup of the kernel's index output over the scalar index
+    /// reference (index against index) among cells with
+    /// `width <= max_width` — the headline the baseline guard compares at
+    /// widths ≤ 16.
+    pub fn best_index_speedup_at_most(&self, max_width: u32) -> f64 {
         self.samples
             .iter()
             .filter(|s| s.width <= max_width)
-            .map(|s| s.speedup_index.max(s.speedup_bitmap))
+            .map(|s| s.speedup_index)
             .fold(0.0, f64::max)
     }
+}
 
-    /// Best lane-batch speedup over the per-word SWAR baseline among
-    /// cells with `width <= max_width` (PR 7's acceptance gate: ≥ 2× at
-    /// widths ≤ 16).
-    pub fn best_lane_speedup_at_most(&self, max_width: u32) -> f64 {
-        self.samples
-            .iter()
-            .filter(|s| s.width <= max_width)
-            .map(|s| s.lane_vs_swar_index.max(s.lane_vs_swar_bitmap))
-            .fold(0.0, f64::max)
+/// The scalar reference: decode every element a 64-element block at a
+/// time and compare it, appending (oid, approximation) pairs.
+fn scalar_reference(arr: &DeviceArray, lo: u64, hi: u64, oids: &mut Vec<Oid>, vals: &mut Vec<u64>) {
+    let data = arr.data();
+    let mut buf = [0u64; DECODE_BLOCK];
+    let mut i = 0;
+    while i < data.len() {
+        let n = (data.len() - i).min(DECODE_BLOCK);
+        data.unpack_range(i, &mut buf[..n]);
+        for (k, &v) in buf[..n].iter().enumerate() {
+            if v >= lo && v <= hi {
+                oids.push((i + k) as Oid);
+                vals.push(v);
+            }
+        }
+        i += n;
     }
 }
 
@@ -162,25 +158,16 @@ pub fn measure(n: usize, reps: usize) -> Result<ScanReport> {
             let mut oids = Vec::new();
             let mut vals = Vec::new();
             // Warm-up + reference output.
-            select_range_partition_scalar(&arr, 0, n, lo, hi, &mut oids, &mut vals);
+            scalar_reference(&arr, lo, hi, &mut oids, &mut vals);
             let matches = oids.len();
 
             let (scalar_s, _) = best_of(reps, || {
                 let mut o = Vec::with_capacity(matches);
                 let mut v = Vec::with_capacity(matches);
-                select_range_partition_scalar(&arr, 0, n, lo, hi, &mut o, &mut v);
+                scalar_reference(&arr, lo, hi, &mut o, &mut v);
                 o.len()
             });
-            let mut swar_oids = Vec::new();
-            let mut swar_vals = Vec::new();
-            let (swar_s, _) = best_of(reps, || {
-                swar_oids.clear();
-                swar_vals.clear();
-                swar_oids.reserve(matches);
-                swar_vals.reserve(matches);
-                select_range_partition_per_word(&arr, 0, n, lo, hi, &mut swar_oids, &mut swar_vals);
-                swar_oids.len()
-            });
+            let src = ScanSrc::Direct(&arr);
             let mut lane_oids = Vec::new();
             let mut lane_vals = Vec::new();
             let (lane_s, _) = best_of(reps, || {
@@ -188,52 +175,52 @@ pub fn measure(n: usize, reps: usize) -> Result<ScanReport> {
                 lane_vals.clear();
                 lane_oids.reserve(matches);
                 lane_vals.reserve(matches);
-                select_range_partition(&arr, 0, n, lo, hi, &mut lane_oids, &mut lane_vals);
+                let out = ScanOut::Indices {
+                    oids: &mut lane_oids,
+                    approx: &mut lane_vals,
+                };
+                select_partition(src, ScanInput::All(0..n), lo, hi, out);
                 lane_oids.len()
-            });
-            let m = RangeMatcher::new(arr.data(), lo, hi);
-            let mut pw_words = vec![0u64; n.div_ceil(64)];
-            let (pw_mask_s, pw_mask_matches) = best_of(reps, || {
-                m.fill_per_word(0, n, &mut pw_words);
-                mask_count(&pw_words)
             });
             let mut words = vec![0u64; n.div_ceil(64)];
             let (mask_s, mask_matches) = best_of(reps, || {
-                m.fill(0, n, &mut words);
+                select_partition(
+                    src,
+                    ScanInput::All(0..n),
+                    lo,
+                    hi,
+                    ScanOut::Bitmap(&mut words),
+                );
                 mask_count(&words)
             });
-            // The X4 lane flavor once (identity only; X8 is the timed
-            // default).
-            let mut x4_words = vec![0u64; n.div_ceil(64)];
-            m.fill_lanes(0, n, &mut x4_words, LaneCount::X4);
 
-            // Identity: per-word SWAR and lane pairs == scalar pairs,
-            // every mask flavor identical, and the bitmap converted
-            // through the block-emission order == the full kernel's
-            // candidate list.
-            bit_identical &= swar_oids == oids && swar_vals == vals;
+            // Identity: kernel pairs == scalar pairs, and the bitmap
+            // converted through the block-emission order == the serial
+            // kernel's candidate list.
             bit_identical &= lane_oids == oids && lane_vals == vals;
-            bit_identical &= pw_mask_matches == matches && mask_matches == matches;
-            bit_identical &= pw_words == words && x4_words == words;
-            let mask = SelMask::from_words(words.clone(), n, &opts);
-            let converted = mask.to_candidates(&arr);
-            let mut l = CostLedger::new();
-            let full = bwd_kernels::scan::select_range(&env, &arr, lo, hi, &opts, &mut l);
-            bit_identical &= converted == full;
+            bit_identical &= mask_matches == matches;
+            let converted = SelMask::from_words(words, n, &opts).to_candidates(src);
+            let full = select(
+                &env,
+                src,
+                None,
+                lo,
+                hi,
+                false,
+                &opts,
+                &mut CostLedger::new(),
+            );
+            bit_identical &= matches!(full, SelVec::Indices(c) if c == converted);
 
             samples.push(ScanSample {
                 width,
                 selectivity: sel,
                 matches,
                 scalar_index_s: scalar_s,
-                swar_index_s: swar_s,
-                swar_bitmap_s: pw_mask_s,
                 lane_index_s: lane_s,
                 lane_bitmap_s: mask_s,
-                speedup_index: scalar_s / swar_s,
-                speedup_bitmap: scalar_s / pw_mask_s,
-                lane_vs_swar_index: swar_s / lane_s,
-                lane_vs_swar_bitmap: pw_mask_s / mask_s,
+                speedup_index: scalar_s / lane_s,
+                speedup_bitmap: scalar_s / mask_s,
             });
         }
     }
@@ -256,11 +243,10 @@ pub fn figure(report: &ScanReport) -> Figure {
         "width x selectivity",
         vec![
             "scalar Melem/s",
-            "swar Melem/s",
             "lane Melem/s",
             "lane-bmp Melem/s",
-            "lane/swar idx",
-            "lane/swar bmp",
+            "lane/scalar idx",
+            "lane/scalar bmp",
         ],
     );
     // Throughputs and ratios, not seconds.
@@ -272,25 +258,20 @@ pub fn figure(report: &ScanReport) -> Figure {
             format!("w{:02} {:>5.1}%", s.width, s.selectivity * 100.0),
             vec![
                 melems(s.scalar_index_s),
-                melems(s.swar_index_s),
                 melems(s.lane_index_s),
                 melems(s.lane_bitmap_s),
-                round2(s.lane_vs_swar_index),
-                round2(s.lane_vs_swar_bitmap),
+                round2(s.speedup_index),
+                round2(s.speedup_bitmap),
             ],
         );
     }
     fig.note(format!(
-        "bit-identical across scalar/SWAR/lane (X4+X8) paths: {}",
+        "bit-identical across scalar/lane index/lane bitmap paths: {}",
         report.bit_identical
     ));
     fig.note(format!(
-        "best SWAR speedup over scalar at widths <= 16: {:.2}x",
-        report.best_speedup_at_most(16)
-    ));
-    fig.note(format!(
-        "best lane speedup over per-word SWAR at widths <= 16: {:.2}x (acceptance: >= 2x on at least one point)",
-        report.best_lane_speedup_at_most(16)
+        "best lane/scalar index speedup at widths <= 16: {:.2}x",
+        report.best_index_speedup_at_most(16)
     ));
     fig
 }
@@ -299,7 +280,7 @@ pub fn figure(report: &ScanReport) -> Figure {
 pub fn check(report: &ScanReport) -> Result<()> {
     if !report.bit_identical {
         return Err(bwd_types::BwdError::Exec(
-            "bench-scan: SWAR/lane/bitmap paths were NOT bit-identical to the scalar path".into(),
+            "bench-scan: lane index/bitmap paths were NOT bit-identical to the scalar path".into(),
         ));
     }
     Ok(())
@@ -316,31 +297,22 @@ pub fn to_json(report: &ScanReport) -> String {
     let _ = writeln!(s, "  \"bit_identical\": {},", report.bit_identical);
     let _ = writeln!(
         s,
-        "  \"best_speedup_w16\": {:.4},",
-        report.best_speedup_at_most(16)
-    );
-    let _ = writeln!(
-        s,
-        "  \"best_lane_speedup_w16\": {:.4},",
-        report.best_lane_speedup_at_most(16)
+        "  \"best_lane_index_over_scalar_w16\": {:.4},",
+        report.best_index_speedup_at_most(16)
     );
     let _ = writeln!(s, "  \"samples\": [");
     for (i, m) in report.samples.iter().enumerate() {
         let _ = writeln!(
             s,
-            "    {{\"width\": {}, \"selectivity\": {}, \"matches\": {}, \"scalar_index_s\": {:.9}, \"swar_index_s\": {:.9}, \"swar_bitmap_s\": {:.9}, \"lane_index_s\": {:.9}, \"lane_bitmap_s\": {:.9}, \"speedup_index\": {:.4}, \"speedup_bitmap\": {:.4}, \"lane_vs_swar_index\": {:.4}, \"lane_vs_swar_bitmap\": {:.4}}}{}",
+            "    {{\"width\": {}, \"selectivity\": {}, \"matches\": {}, \"scalar_index_s\": {:.9}, \"lane_index_s\": {:.9}, \"lane_bitmap_s\": {:.9}, \"speedup_index\": {:.4}, \"speedup_bitmap\": {:.4}}}{}",
             m.width,
             m.selectivity,
             m.matches,
             m.scalar_index_s,
-            m.swar_index_s,
-            m.swar_bitmap_s,
             m.lane_index_s,
             m.lane_bitmap_s,
             m.speedup_index,
             m.speedup_bitmap,
-            m.lane_vs_swar_index,
-            m.lane_vs_swar_bitmap,
             if i + 1 < report.samples.len() { "," } else { "" }
         );
     }
@@ -367,14 +339,14 @@ mod tests {
         let json = to_json(&report);
         assert!(json.contains("\"bench\": \"packed_domain_scan\""));
         assert!(json.contains("\"bit_identical\": true"));
-        assert!(json.contains("\"best_lane_speedup_w16\""));
+        assert!(json.contains("\"best_lane_index_over_scalar_w16\""));
         assert!(json.contains("\"lane_index_s\""));
         let fig = figure(&report);
         assert_eq!(fig.rows.len(), report.samples.len());
         // Lane ratios exist for every cell and are finite.
         for s in &report.samples {
-            assert!(s.lane_vs_swar_index.is_finite() && s.lane_vs_swar_index > 0.0);
-            assert!(s.lane_vs_swar_bitmap.is_finite() && s.lane_vs_swar_bitmap > 0.0);
+            assert!(s.speedup_index.is_finite() && s.speedup_index > 0.0);
+            assert!(s.speedup_bitmap.is_finite() && s.speedup_bitmap > 0.0);
         }
     }
 

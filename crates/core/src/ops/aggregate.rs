@@ -20,7 +20,7 @@ use crate::column::BoundColumn;
 use bwd_device::{CostLedger, Env};
 use bwd_kernels::gather::gather;
 use bwd_kernels::reduce::{filter_ge, filter_le};
-use bwd_kernels::Candidates;
+use bwd_kernels::{Candidates, ScanSrc};
 use bwd_types::Oid;
 
 /// Which extremum an extremum aggregation computes.
@@ -104,7 +104,8 @@ pub fn extremum_approx(
         return Candidates::empty();
     }
     // Device gather of the value approximations for all candidates.
-    let stored = gather(env, val_col.approx(), cands, "agg.ext.gather", ledger);
+    let src = ScanSrc::Direct(val_col.approx());
+    let stored = gather(env, src, cands, "agg.ext.gather", ledger);
 
     // Threshold: the best stored approximation among *certain* survivors.
     // A false positive may not survive refinement, so its (possibly
@@ -284,7 +285,7 @@ mod tests {
 
         let range = RangePred::from_cmp(crate::relax::CmpOp::Gt, 6).unwrap();
         let mut ledger = CostLedger::new();
-        let cands = select_approx(&env, &x, &range, &ScanOptions::default(), &mut ledger);
+        let cands = select_approx(&env, &x, None, &range, &ScanOptions::default(), &mut ledger);
         // The false positive is among the candidates.
         assert!(
             cands.oids.contains(&1),
@@ -384,7 +385,7 @@ mod tests {
         let y = bind(&env, &y_vals, 26);
         let range = RangePred::between(100, 400);
         let mut ledger = CostLedger::new();
-        let cands = select_approx(&env, &x, &range, &ScanOptions::default(), &mut ledger);
+        let cands = select_approx(&env, &x, None, &range, &ScanOptions::default(), &mut ledger);
         let refined = select_refine(&env, &x, &cands, None, &range, true, &mut ledger).unwrap();
         // Project y approximations for survivors, then exact-sum on host.
         let surv_cands = Candidates {
@@ -393,7 +394,8 @@ mod tests {
             sorted: false,
             dense: false,
         };
-        let y_stored = gather(&env, y.approx(), &surv_cands, "gather", &mut ledger);
+        let y_src = ScanSrc::Direct(y.approx());
+        let y_stored = gather(&env, y_src, &surv_cands, "gather", &mut ledger);
         let s = sum_exact_host(&env, &y, &refined.oids, &y_stored, &mut ledger);
         let expect: i128 = (0..5000)
             .filter(|&i| range.test(x_vals[i]))

@@ -17,8 +17,8 @@
 use crate::column::BoundColumn;
 use crate::translucent::translucent_join_with;
 use bwd_device::{Component, CostLedger, Device, Env};
-use bwd_kernels::gather::gather_indirect;
-use bwd_kernels::{Candidates, DeviceArray, Theta};
+use bwd_kernels::gather::gather;
+use bwd_kernels::{Candidates, DeviceArray, ScanSrc, Theta};
 use bwd_storage::BitPackedVec;
 use bwd_types::bits::bits_for_width;
 use bwd_types::{BwdError, FxHashMap, Oid, Result};
@@ -117,14 +117,11 @@ pub fn fk_project_approx(
     cands: &Candidates,
     ledger: &mut CostLedger,
 ) -> Vec<u64> {
-    gather_indirect(
-        env,
-        dim_col.approx(),
-        fk.device(),
-        cands,
-        "join.fk.approx",
-        ledger,
-    )
+    let src = ScanSrc::Indirect {
+        arr: dim_col.approx(),
+        link: fk.device(),
+    };
+    gather(env, src, cands, "join.fk.approx", ledger)
 }
 
 /// Refine an FK-projective join: align survivors with the approximate

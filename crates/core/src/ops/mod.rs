@@ -37,4 +37,4 @@ pub use join::{
 pub use project::{
     charge_project_refine, decode_resident, project_approx, project_ar, project_refine,
 };
-pub use select::{select_approx, select_approx_on, select_ar, select_refine, Refined};
+pub use select::{select_approx, select_ar, select_refine, Refined};

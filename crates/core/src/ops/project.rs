@@ -16,7 +16,7 @@ use crate::column::BoundColumn;
 use crate::translucent::translucent_join_with;
 use bwd_device::{CostLedger, Env};
 use bwd_kernels::gather::gather;
-use bwd_kernels::Candidates;
+use bwd_kernels::{Candidates, ScanSrc};
 use bwd_types::{Oid, Result};
 
 /// Approximate projection: fetch the stored approximation of the projected
@@ -27,7 +27,13 @@ pub fn project_approx(
     cands: &Candidates,
     ledger: &mut CostLedger,
 ) -> Vec<u64> {
-    gather(env, col.approx(), cands, "project.approx.gather", ledger)
+    gather(
+        env,
+        ScanSrc::Direct(col.approx()),
+        cands,
+        "project.approx.gather",
+        ledger,
+    )
 }
 
 /// Refine a projection: align `survivors` (a subsequence of `cand_oids`

@@ -19,8 +19,8 @@ use crate::column::BoundColumn;
 use crate::relax::{relax_to_stored, RangePred};
 use crate::translucent::translucent_join_with;
 use bwd_device::{CostLedger, Env};
-use bwd_kernels::scan::{select_range, select_range_on, ScanOptions};
-use bwd_kernels::Candidates;
+use bwd_kernels::scan::{select, ScanOptions, ScanSrc};
+use bwd_kernels::{Candidates, SelVec};
 use bwd_types::{Oid, Result};
 
 /// The output of a refined selection: exact surviving tuples, in candidate
@@ -45,35 +45,23 @@ impl Refined {
     }
 }
 
-/// Approximate selection over a full column: scan the device-resident
-/// approximation with relaxed bounds.
+/// Approximate selection: scan the device-resident approximation with
+/// relaxed bounds — over the whole column, or chained onto an earlier
+/// selection's candidates (conjunctive predicates; candidate order, and
+/// with it the shared permutation, is preserved).
 pub fn select_approx(
     env: &Env,
     col: &BoundColumn,
+    input: Option<&SelVec>,
     range: &RangePred,
     opts: &ScanOptions,
     ledger: &mut CostLedger,
 ) -> Candidates {
-    match relax_to_stored(col.meta(), range) {
-        None => Candidates::empty(),
-        Some((lo, hi)) => select_range(env, col.approx(), lo, hi, opts, ledger),
-    }
-}
-
-/// Approximate selection chained onto an existing candidate list
-/// (conjunctive predicates): gather this column's approximation per
-/// candidate, filter with relaxed bounds, preserve candidate order.
-pub fn select_approx_on(
-    env: &Env,
-    col: &BoundColumn,
-    input: &Candidates,
-    range: &RangePred,
-    ledger: &mut CostLedger,
-) -> Candidates {
-    match relax_to_stored(col.meta(), range) {
-        None => Candidates::empty(),
-        Some((lo, hi)) => select_range_on(env, col.approx(), input, lo, hi, ledger),
-    }
+    let Some((lo, hi)) = relax_to_stored(col.meta(), range) else {
+        return Candidates::empty();
+    };
+    let src = ScanSrc::Direct(col.approx());
+    select(env, src, input, lo, hi, false, opts, ledger).into_candidates(src)
 }
 
 /// Refine a selection (Algorithm 2).
@@ -188,7 +176,7 @@ pub fn select_ar(
     opts: &ScanOptions,
     ledger: &mut CostLedger,
 ) -> Result<Refined> {
-    let cands = select_approx(env, col, range, opts, ledger);
+    let cands = select_approx(env, col, None, range, opts, ledger);
     select_refine(env, col, &cands, None, range, true, ledger)
 }
 
@@ -246,7 +234,14 @@ mod tests {
         let (env, col) = bind(&vals, 24); // granule 256
         let range = RangePred::between(1000, 1999);
         let mut ledger = CostLedger::new();
-        let cands = select_approx(&env, &col, &range, &ScanOptions::default(), &mut ledger);
+        let cands = select_approx(
+            &env,
+            &col,
+            None,
+            &range,
+            &ScanOptions::default(),
+            &mut ledger,
+        );
         let exact = exact_select(&vals, &range);
         assert!(cands.len() >= exact.len());
         // Slack bounded by one granule on each side.
@@ -297,8 +292,9 @@ mod tests {
             preserve_order: false,
         };
         // Approximate subplan: chain the two relaxed selections.
-        let ca = select_approx(&env, &col_a, &ra, &opts, &mut ledger);
-        let cb = select_approx_on(&env, &col_b, &ca, &rb, &mut ledger);
+        let ca = select_approx(&env, &col_a, None, &ra, &opts, &mut ledger);
+        let chained = SelVec::Indices(ca.clone());
+        let cb = select_approx(&env, &col_b, Some(&chained), &rb, &opts, &mut ledger);
         // Refinement: refine A over the chained candidates, then B over
         // A's survivors.
         let refined_a =
@@ -330,6 +326,7 @@ mod tests {
         let c = select_approx(
             &env,
             &col,
+            None,
             &RangePred::between(5000, 6000),
             &ScanOptions::default(),
             &mut ledger,
@@ -349,7 +346,14 @@ mod tests {
         assert!(col.meta().fully_device_resident());
         let range = RangePred::between(10, 20);
         let mut ledger = CostLedger::new();
-        let cands = select_approx(&env, &col, &range, &ScanOptions::default(), &mut ledger);
+        let cands = select_approx(
+            &env,
+            &col,
+            None,
+            &range,
+            &ScanOptions::default(),
+            &mut ledger,
+        );
         assert_eq!(cands.len(), exact_select(&vals, &range).len());
     }
 

@@ -145,9 +145,18 @@ impl RangePred {
 /// Relax a payload range into inclusive stored-approximation bounds for a
 /// decomposed column. `None` means the approximate selection is provably
 /// empty.
+///
+/// Literals outside the column's physical domain (say `a <= 2^31` on an
+/// `i32` column) are clamped to it first: the encoding only covers the
+/// domain, and an unclamped bound would wrap at the physical width. A
+/// range that misses the domain entirely is empty.
 pub fn relax_to_stored(meta: &DecompositionMeta, range: &RangePred) -> Option<(u64, u64)> {
-    let lo = range.lo.unwrap_or(domain_min(meta));
-    let hi = range.hi.unwrap_or(domain_max(meta));
+    let (min, max) = (domain_min(meta), domain_max(meta));
+    let lo = range.lo.map_or(min, |l| l.max(min));
+    let hi = range.hi.map_or(max, |h| h.min(max));
+    if lo > hi {
+        return None;
+    }
     meta.stored_bounds_payload(lo, hi)
 }
 
@@ -309,6 +318,35 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn out_of_domain_literals_clamp_to_the_domain() {
+        let vals: Vec<i64> = (0..1000).collect();
+        let col = column(&vals, 6);
+        let everything = relax_to_stored(col.meta(), &RangePred::all());
+        let edge = i32::MAX as i64 + 1;
+        assert_eq!(
+            relax_to_stored(col.meta(), &RangePred::at_most(edge)),
+            everything
+        );
+        assert_eq!(
+            relax_to_stored(col.meta(), &RangePred::at_least(i32::MIN as i64 - 1)),
+            everything
+        );
+        assert_eq!(
+            relax_to_stored(col.meta(), &RangePred::between(10, edge)),
+            relax_to_stored(col.meta(), &RangePred::at_least(10))
+        );
+        // Entirely outside the domain: provably empty.
+        assert_eq!(
+            relax_to_stored(col.meta(), &RangePred::at_least(edge)),
+            None
+        );
+        assert_eq!(
+            relax_to_stored(col.meta(), &RangePred::at_most(i32::MIN as i64 - 1)),
+            None
+        );
     }
 
     #[test]

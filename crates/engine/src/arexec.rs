@@ -24,8 +24,8 @@ use crate::database::Database;
 use crate::eval::{payload_to_value, ColumnSlot, RowBlock};
 use crate::morsel::{
     gather_stored, group_rows, partition_mask_ranges, partition_ranges, partition_ranges_min,
-    refine_filter, refine_filter_mask, refine_payloads, run_parts, run_parts_mut,
-    translucent_starts, ApproxSrc, ResidualSrc, ScratchPool, SocketPlan,
+    refine_filter, refine_payloads, run_parts, run_parts_mut, translucent_starts, ResidualSrc,
+    ScratchPool, SocketPlan,
 };
 use crate::result::{ApproxAnswer, QueryResult};
 use bwd_core::ops::join::{charge_fk_project_refine, FkIndex};
@@ -34,16 +34,10 @@ use bwd_core::plan::ArPlan;
 use bwd_core::relax::relax_to_stored;
 use bwd_core::{BoundColumn, RangePred};
 use bwd_device::{Component, CostLedger, Env};
-use bwd_kernels::gather::{charge_gather, charge_gather_indirect};
+use bwd_kernels::gather::charge_gather;
 use bwd_kernels::group::hash_group_multi;
-use bwd_kernels::scan::{
-    cache_worthwhile, charge_select_indirect, charge_select_on, charge_select_on_indirect,
-    charge_select_scan, scan_block_ranges, select_range_indirect_mask_partition,
-    select_range_indirect_partition, select_range_mask_partition,
-    select_range_on_indirect_mask_partition, select_range_on_indirect_partition,
-    select_range_on_mask_partition, select_range_on_partition, select_range_partition,
-};
-use bwd_kernels::{Candidates, ScanOptions, SelMask, SelVec};
+use bwd_kernels::scan::{charge_select, select_partition};
+use bwd_kernels::{Candidates, ScanInput, ScanOptions, ScanOut, ScanSrc, SelVec};
 use bwd_obs::{EventKind, SpanId, WorkerHandle, NO_SPAN};
 use bwd_types::{BwdError, FaultSite, Oid, Result, Value};
 
@@ -316,14 +310,7 @@ pub fn run_ar_in(
                     env.pcie.transfer_seconds(oids.len() as u64 * 4),
                     oids.len() as u64 * 4,
                 );
-                let mut cand = Candidates {
-                    approx: Vec::new(),
-                    oids,
-                    sorted: false,
-                    dense: false,
-                };
-                cand.refresh_flags();
-                SelVec::Indices(cand)
+                SelVec::Indices(Candidates::new(oids, Vec::new()))
             });
             let input_len = input.as_ref().map_or(n, SelVec::len) as u64;
             let probe = Probe::begin(
@@ -361,7 +348,7 @@ pub fn run_ar_in(
                 env,
                 &c,
                 fk,
-                cands.as_indices().expect("ablation chain runs on indices"),
+                &cands,
                 None,
                 &sel.range,
                 morsels,
@@ -382,14 +369,26 @@ pub fn run_ar_in(
 
     // The gather boundary: downstream operators (device pre-grouping,
     // projection gathers, refinement downloads) need positions and
-    // values, so a bitmap materializes here — lazily, and bit-identically
-    // to what the index path would have carried all along (through the
-    // FK link when the last selection was dimension-side).
-    let final_cands: Candidates = if plan.selections.is_empty() {
-        Candidates::dense_all(n)
-    } else {
-        let last = resolve(&plan.selections.last().unwrap().column)?;
-        materialize_sel(sel_outputs.last().unwrap(), &last, fk)?
+    // values, so a final bitmap materializes here — lazily, and
+    // bit-identically to what the index path would have carried all
+    // along (through the FK link when the last selection was
+    // dimension-side). Earlier bitmaps stay masks: their refinements test
+    // survivors positionally.
+    if let (Some(sel), Some(last)) = (plan.selections.last(), sel_outputs.last_mut()) {
+        if let SelVec::Bitmap(m) = last {
+            let cands = m.to_candidates(scan_src(&resolve(&sel.column)?, fk)?);
+            *last = SelVec::Indices(cands);
+        }
+    }
+    let all_rows;
+    let final_cands: &Candidates = match sel_outputs.last() {
+        Some(sel) => sel
+            .as_indices()
+            .expect("materialized at the gather boundary"),
+        None => {
+            all_rows = Candidates::dense_all(n);
+            &all_rows
+        }
     };
 
     // Approximate pre-grouping (device) where the keys allow it.
@@ -405,7 +404,7 @@ pub fn run_ar_in(
     {
         let arrays: Vec<&bwd_kernels::DeviceArray> =
             group_cols.iter().map(|c| c.bound.approx()).collect();
-        Some(hash_group_multi(env, &arrays, &final_cands, &mut ledger))
+        Some(hash_group_multi(env, &arrays, final_cands, &mut ledger))
     } else {
         None
     };
@@ -463,19 +462,6 @@ pub fn run_ar_in(
         let mut surv: Option<Vec<Oid>> = None;
         for (i, sel) in plan.selections.iter().enumerate().rev() {
             let c = resolve(&sel.column)?;
-            // The last selection's output was already materialized as
-            // `final_cands`, so reuse it instead of converting twice;
-            // earlier bitmap outputs are consumed *as masks* — the
-            // refinement tests survivors positionally, with no
-            // index-list round-trip at this boundary.
-            let masked: Option<&SelMask> = if i + 1 == sel_outputs.len() {
-                None
-            } else {
-                match &sel_outputs[i] {
-                    SelVec::Indices(_) => None,
-                    SelVec::Bitmap(m) => Some(m),
-                }
-            };
             let input_len = surv.as_ref().map_or(sel_outputs[i].len(), Vec::len) as u64;
             let probe = Probe::begin(
                 &obs,
@@ -485,39 +471,17 @@ pub fn run_ar_in(
                 input_len,
                 i as u64,
             );
-            let refined = match masked {
-                Some(m) => refine_selection_mask(
-                    env,
-                    &c,
-                    fk,
-                    m,
-                    surv.as_deref(),
-                    &sel.range,
-                    morsels,
-                    &pool,
-                    &mut ledger,
-                )?,
-                None => {
-                    let approx_out: &Candidates = if i + 1 == sel_outputs.len() {
-                        &final_cands
-                    } else {
-                        sel_outputs[i]
-                            .as_indices()
-                            .expect("non-last, non-bitmap output is indices")
-                    };
-                    refine_selection(
-                        env,
-                        &c,
-                        fk,
-                        approx_out,
-                        surv.as_deref(),
-                        &sel.range,
-                        morsels,
-                        &pool,
-                        &mut ledger,
-                    )?
-                }
-            };
+            let refined = refine_selection(
+                env,
+                &c,
+                fk,
+                &sel_outputs[i],
+                surv.as_deref(),
+                &sel.range,
+                morsels,
+                &pool,
+                &mut ledger,
+            )?;
             probe.end(&obs, &ledger, refined.len() as u64);
             surv = Some(refined);
             env.fault.check(FaultSite::Exec)?; // the card may die between steps
@@ -553,7 +517,7 @@ pub fn run_ar_in(
             final_cands.len() as u64,
             0,
         );
-        let dblock = build_device_block(env, &needed_cols, fk, &final_cands, morsels, &mut ledger)?;
+        let dblock = build_device_block(env, &needed_cols, fk, final_cands, morsels, &mut ledger)?;
         probe.end(&obs, &ledger, final_cands.len() as u64);
         let groupagg = Probe::begin(
             &obs,
@@ -564,7 +528,7 @@ pub fn run_ar_in(
             1,
         );
         let (block, grouping) =
-            dblock.with_grouping(env, plan, &group_cols, device_group.as_ref(), &final_cands)?;
+            dblock.with_grouping(env, plan, &group_cols, device_group.as_ref(), final_cands)?;
         (block, grouping, groupagg)
     } else {
         let surv_slice: Vec<Oid> = match &survivors {
@@ -583,7 +547,7 @@ pub fn run_ar_in(
             env,
             &needed_cols,
             fk,
-            &final_cands,
+            final_cands,
             &surv_slice,
             morsels,
             &mut ledger,
@@ -677,20 +641,22 @@ pub fn run_ar_in(
     })
 }
 
-/// One approximate selection step (full scan / chained, direct / through
-/// the FK link), fanned out over `morsels` real threads, producing the
-/// representation the policy picks.
+/// One approximate selection step (full scan or chained onto the previous
+/// step's output, direct or through the FK link), fanned out over
+/// `morsels` real threads, producing the representation the policy picks.
 ///
-/// Index-producing steps distribute contiguous chunks of the simulated
-/// thread-block sequence (in its bit-reversed emission order) or
-/// contiguous candidate partitions; concatenating worker outputs in
-/// chunk order reproduces the serial kernel's permutation byte for byte.
-/// Bitmap-producing steps distribute word-aligned mask ranges — every
+/// Bitmap-producing steps distribute word-aligned row ranges — every
 /// partition boundary is a mask-word boundary, so workers fill disjoint
 /// words of one shared buffer and the parallel path needs no
-/// synchronization at all. The cost is charged once from the merged
-/// totals via the kernels' own charge functions, identically in both
-/// representations.
+/// synchronization at all. The mask is positional over *fact* rows for
+/// direct and dimension-side predicates alike (a dim step tests
+/// `arr[link[row]]`), so chained predicates AND masks with no
+/// representation round trip. Index-producing steps distribute contiguous
+/// chunks of the emission sequence (the simulated thread blocks in their
+/// bit-reversed order, or slices of the input list); concatenating worker
+/// outputs in chunk order reproduces the serial kernel's permutation byte
+/// for byte. The cost is charged once from the merged totals, identically
+/// in both representations.
 #[allow(clippy::too_many_arguments)]
 fn approx_select_step(
     env: &Env,
@@ -723,170 +689,73 @@ fn approx_select_step(
     let Some((lo, hi)) = relax_to_stored(col.bound.meta(), range) else {
         return Ok(SelVec::Indices(Candidates::empty()));
     };
-    let arr = col.bound.approx();
-    let link = if col.is_dim {
-        Some(
-            fk.ok_or_else(|| BwdError::Exec("dim predicate without FK".into()))?
-                .device(),
-        )
+    let src = scan_src(col, fk)?;
+    let rows = src.rows();
+    let bitmap = match input {
+        None => bitmap_worthwhile(rep, lo, hi, src.arr().width()),
+        Some(sel) => sel.is_bitmap(),
+    };
+    let out = if bitmap {
+        let mut words = vec![0u64; rows.div_ceil(64)];
+        let ranges = partition_mask_ranges(words.len(), morsels);
+        run_parts_mut(&mut words, &ranges, |p, r, chunk| {
+            let part = r.start * 64..(r.end * 64).min(rows);
+            let (t, span) = morsel_begin(p, part.len());
+            select_partition(
+                src,
+                ScanInput::of(input, part),
+                lo,
+                hi,
+                ScanOut::Bitmap(chunk),
+            );
+            let out = if morsel_enabled {
+                chunk.iter().map(|w| u64::from(w.count_ones())).sum()
+            } else {
+                0
+            };
+            t.end(EventKind::Morsel, span, 0, 0, out, 0);
+        });
+        SelVec::bitmap_like(input, words, rows, scan)
     } else {
-        None
+        let units = ScanInput::units(input, rows, scan, |len| partition_ranges(len, morsels));
+        let chunks = partition_ranges_min(units.len(), morsels, 1);
+        let plan = SocketPlan::new(chunks.len(), pool.sockets());
+        let outs = run_parts(&chunks, |p, chunk| {
+            let units = &units[chunk];
+            let (t, span) = morsel_begin(p, units.iter().map(|u| u.len()).sum());
+            let sock = plan.socket_of(p);
+            let mut oids = pool.take_u32(sock);
+            let mut approx = pool.take_u64(sock);
+            for u in units {
+                let out = ScanOut::Indices {
+                    oids: &mut oids,
+                    approx: &mut approx,
+                };
+                select_partition(src, ScanInput::of(input, u.clone()), lo, hi, out);
+            }
+            t.end(EventKind::Morsel, span, 0, 0, oids.len() as u64, 0);
+            (oids, approx)
+        });
+        let (oids, approx) = merge_candidate_parts(outs, pool, &plan);
+        SelVec::Indices(Candidates::new(oids, approx))
     };
+    charge_select(env, src, input.map(SelVec::len), out.len(), scan, ledger);
+    Ok(out)
+}
 
-    // Bitmap-producing paths. The mask is positional over *fact* rows in
-    // both flavors: a direct predicate tests `arr[row]`, a dimension-side
-    // one tests `arr[link[row]]` — so chained predicates AND masks with
-    // no representation round-trip at the dim boundary.
-    match input {
-        None if bitmap_worthwhile(rep, lo, hi, arr.width()) => {
-            let n = link.unwrap_or(arr).len();
-            let mut words = vec![0u64; n.div_ceil(64)];
-            let ranges = partition_mask_ranges(words.len(), morsels);
-            run_parts_mut(&mut words, &ranges, |p, r, chunk| {
-                let (t, span) = morsel_begin(p, r.len());
-                match link {
-                    None => select_range_mask_partition(arr, r.start, lo, hi, chunk),
-                    Some(l) => {
-                        select_range_indirect_mask_partition(arr, l, r.start, lo, hi, chunk);
-                    }
-                }
-                let out = if morsel_enabled {
-                    chunk.iter().map(|w| u64::from(w.count_ones())).sum()
-                } else {
-                    0
-                };
-                t.end(EventKind::Morsel, span, 0, 0, out, 0);
-            });
-            let mask = SelMask::from_words(words, n, scan);
-            match link {
-                None => charge_select_scan(env, arr, mask.count(), scan, ledger),
-                Some(l) => charge_select_indirect(env, arr, l, ledger),
-            }
-            return Ok(SelVec::Bitmap(mask));
-        }
-        Some(SelVec::Bitmap(m)) => {
-            // AND-refinement: only mask words that still hold
-            // candidates touch this column's bits.
-            let mut words = vec![0u64; m.words().len()];
-            let ranges = partition_mask_ranges(words.len(), morsels);
-            let in_words = m.words();
-            let cached = link.is_some_and(|l| cache_worthwhile(m.count(), l.len()));
-            run_parts_mut(&mut words, &ranges, |p, r, chunk| {
-                let (t, span) = morsel_begin(p, r.len());
-                match link {
-                    None => select_range_on_mask_partition(
-                        arr,
-                        &in_words[r.clone()],
-                        r.start,
-                        lo,
-                        hi,
-                        chunk,
-                    ),
-                    Some(l) => select_range_on_indirect_mask_partition(
-                        arr,
-                        l,
-                        &in_words[r.clone()],
-                        r.start,
-                        lo,
-                        hi,
-                        cached,
-                        chunk,
-                    ),
-                }
-                let out = if morsel_enabled {
-                    chunk.iter().map(|w| u64::from(w.count_ones())).sum()
-                } else {
-                    0
-                };
-                t.end(EventKind::Morsel, span, 0, 0, out, 0);
-            });
-            let out = m.like(words);
-            match link {
-                None => charge_select_on(env, arr, m.count(), out.count(), ledger),
-                Some(l) => charge_select_on_indirect(env, arr, l, m.count(), ledger),
-            }
-            return Ok(SelVec::Bitmap(out));
-        }
-        _ => {}
+/// Where `col`'s approximations are read (by selections and gathers): its
+/// own approximation, or the dimension's through the device-resident FK
+/// link.
+fn scan_src<'a>(col: &ColRef<'a>, fk: Option<&'a FkIndex>) -> Result<ScanSrc<'a>> {
+    let arr = col.bound.approx();
+    if !col.is_dim {
+        return Ok(ScanSrc::Direct(arr));
     }
-    let input = match input {
-        None => None,
-        Some(SelVec::Indices(c)) => Some(c),
-        Some(SelVec::Bitmap(_)) => {
-            // Bitmap inputs are fully handled by the AND-refinement arm
-            // above (direct and indirect alike); reaching here would
-            // mean the chain invariant broke.
-            return Err(BwdError::Exec(
-                "bitmap candidates reached an index-producing selection step".into(),
-            ));
-        }
-    };
-    let (oids, approx) = match input {
-        None => {
-            let blocks = scan_block_ranges(link.unwrap_or(arr).len(), scan);
-            let chunks = partition_ranges_min(blocks.len(), morsels, 1);
-            let plan = SocketPlan::new(chunks.len(), pool.sockets());
-            let outs = run_parts(&chunks, |p, chunk| {
-                let (t, span) = morsel_begin(p, chunk.len());
-                let sock = plan.socket_of(p);
-                let mut oids = pool.take_u32(sock);
-                let mut vals = pool.take_u64(sock);
-                for b in &blocks[chunk] {
-                    match link {
-                        None => select_range_partition(
-                            arr, b.start, b.end, lo, hi, &mut oids, &mut vals,
-                        ),
-                        Some(l) => select_range_indirect_partition(
-                            arr, l, b.start, b.end, lo, hi, &mut oids, &mut vals,
-                        ),
-                    }
-                }
-                t.end(EventKind::Morsel, span, 0, 0, oids.len() as u64, 0);
-                (oids, vals)
-            });
-            let merged = merge_candidate_parts(outs, pool, &plan);
-            match link {
-                None => charge_select_scan(env, arr, merged.0.len(), scan, ledger),
-                Some(l) => charge_select_indirect(env, arr, l, ledger),
-            }
-            merged
-        }
-        Some(c) => {
-            let ranges = partition_ranges(c.oids.len(), morsels);
-            let plan = SocketPlan::new(ranges.len(), pool.sockets());
-            let cached = cache_worthwhile(c.len(), link.unwrap_or(arr).len());
-            let outs = run_parts(&ranges, |p, r| {
-                let (t, span) = morsel_begin(p, r.len());
-                let sock = plan.socket_of(p);
-                let mut oids = pool.take_u32(sock);
-                let mut vals = pool.take_u64(sock);
-                match link {
-                    None => select_range_on_partition(
-                        arr, &c.oids[r], lo, hi, cached, &mut oids, &mut vals,
-                    ),
-                    Some(l) => select_range_on_indirect_partition(
-                        arr, l, &c.oids[r], lo, hi, cached, &mut oids, &mut vals,
-                    ),
-                }
-                t.end(EventKind::Morsel, span, 0, 0, oids.len() as u64, 0);
-                (oids, vals)
-            });
-            let merged = merge_candidate_parts(outs, pool, &plan);
-            match link {
-                None => charge_select_on(env, arr, c.len(), merged.0.len(), ledger),
-                Some(l) => charge_select_on_indirect(env, arr, l, c.len(), ledger),
-            }
-            merged
-        }
-    };
-    let mut c = Candidates {
-        oids,
-        approx,
-        sorted: false,
-        dense: false,
-    };
-    c.refresh_flags();
-    Ok(SelVec::Indices(c))
+    let fk = fk.ok_or_else(|| BwdError::Exec("dim column without FK".into()))?;
+    Ok(ScanSrc::Indirect {
+        arr,
+        link: fk.device(),
+    })
 }
 
 /// Whether a full-scan selection step should produce the bitmap
@@ -931,119 +800,33 @@ fn merge_candidate_parts(
     (oids, vals)
 }
 
-/// Refine one selection: download its approximation output, align the
-/// survivor subset (translucent join), reconstruct exact payloads via the
-/// residual (at the fact position, or the dimension position through the
-/// host FK index) and re-test the precise range — fanned out over
-/// `morsels` contiguous candidate partitions, with residual reads routed
-/// through the block-cached bulk decoder when the refined set is dense.
+/// Refine one selection: download its approximation output, reconstruct
+/// exact payloads via the residual (at the fact position, or the dimension
+/// position through the host FK index) and re-test the precise range over
+/// the survivors of the later refinements — fanned out over `morsels`
+/// partitions, with residual reads routed through the block-cached bulk
+/// decoder when the refined set is dense. A bitmap output is refined as
+/// is (see [`refine_filter`]). Charges are keyed on the candidate count,
+/// which is the same in both representations, so simulated costs are
+/// bit-identical to the index path.
 #[allow(clippy::too_many_arguments)]
 fn refine_selection(
     env: &Env,
     col: &ColRef<'_>,
     fk: Option<&FkIndex>,
-    approx_out: &Candidates,
+    sel: &SelVec,
     survivors: Option<&[Oid]>,
     range: &RangePred,
     morsels: usize,
     pool: &ScratchPool,
     ledger: &mut CostLedger,
 ) -> Result<Vec<Oid>> {
-    if col.bound.meta().fully_device_resident() {
-        env.charge_download(
-            "select.refine.download",
-            approx_out.len() as u64 * 4,
-            ledger,
-        );
+    let meta = col.bound.meta();
+    let cand_n = sel.len() as u64;
+    if meta.fully_device_resident() {
+        env.charge_download("select.refine.download", cand_n * 4, ledger);
     } else {
-        approx_out.download(
-            env,
-            col.bound.meta().stored_width(),
-            "select.refine.download",
-            ledger,
-        );
-    }
-    let refined_n = survivors.map_or(approx_out.len(), <[Oid]>::len);
-    let residual = ResidualSrc::for_column(
-        col.bound,
-        col.is_dim,
-        fk.map(FkIndex::host_slice),
-        refined_n,
-    );
-    let out = refine_filter(
-        col.bound.meta(),
-        residual,
-        approx_out,
-        survivors,
-        range,
-        morsels,
-        pool,
-    )?;
-    let merge_bytes = if survivors.is_some() {
-        approx_out.len() as u64 * 4
-    } else {
-        0
-    };
-    if col.bound.meta().fully_device_resident() {
-        env.charge_host_scan(
-            "select.refine.materialize",
-            refined_n as u64 * 4 + merge_bytes,
-            refined_n as u64,
-            ledger,
-        );
-    } else {
-        env.charge_host_scattered(
-            "select.refine",
-            col.bound.residual_access_bytes(refined_n) + merge_bytes,
-            refined_n as u64 * bwd_core::ops::REFINE_OPS_PER_TUPLE,
-            ledger,
-        );
-    }
-    Ok(out)
-}
-
-/// Materialize a selection output at the gather boundary: indices clone
-/// through; bitmaps decode into the bit-identical block-scrambled
-/// candidate list — through the FK link (`arr[link[row]]`) when the
-/// selection was dimension-side.
-fn materialize_sel(sv: &SelVec, col: &ColRef<'_>, fk: Option<&FkIndex>) -> Result<Candidates> {
-    if col.is_dim {
-        let fkx = fk.ok_or_else(|| BwdError::Exec("dim selection without FK".into()))?;
-        Ok(sv.to_candidates_indirect(col.bound.approx(), fkx.device()))
-    } else {
-        Ok(sv.to_candidates(col.bound.approx()))
-    }
-}
-
-/// [`refine_selection`] consuming a selection's *bitmap* output directly:
-/// the refinement tests survivors positionally against the mask (the
-/// translucent join degenerates to O(1) membership) and re-decodes each
-/// survivor's approximation from the host replica of the device array —
-/// no index-list materialization round-trip. Charges are keyed on the
-/// mask's candidate count, which equals the materialized list's length,
-/// so simulated costs are bit-identical to the index path.
-#[allow(clippy::too_many_arguments)]
-fn refine_selection_mask(
-    env: &Env,
-    col: &ColRef<'_>,
-    fk: Option<&FkIndex>,
-    mask: &SelMask,
-    survivors: Option<&[Oid]>,
-    range: &RangePred,
-    morsels: usize,
-    pool: &ScratchPool,
-    ledger: &mut CostLedger,
-) -> Result<Vec<Oid>> {
-    let cand_n = mask.count();
-    if col.bound.meta().fully_device_resident() {
-        env.charge_download("select.refine.download", cand_n as u64 * 4, ledger);
-    } else {
-        // Same bytes `Candidates::download` bills for the equivalent
-        // materialized list.
-        let bytes = bwd_device::units::candidate_stream_bytes(
-            col.bound.meta().stored_width(),
-            cand_n as u64,
-        );
+        let bytes = bwd_device::units::candidate_stream_bytes(meta.stored_width(), cand_n);
         ledger.charge(
             Component::Pcie,
             "select.refine.download",
@@ -1051,38 +834,17 @@ fn refine_selection_mask(
             bytes,
         );
     }
-    let refined_n = survivors.map_or(cand_n, <[Oid]>::len);
+    let refined_n = survivors.map_or(sel.len(), <[Oid]>::len);
     let residual = ResidualSrc::for_column(
         col.bound,
         col.is_dim,
         fk.map(FkIndex::host_slice),
         refined_n,
     );
-    let approx = if col.is_dim {
-        ApproxSrc::Linked(
-            col.bound.approx(),
-            fk.ok_or_else(|| BwdError::Exec("dim refinement without FK".into()))?
-                .device(),
-        )
-    } else {
-        ApproxSrc::Direct(col.bound.approx())
-    };
-    let out = refine_filter_mask(
-        col.bound.meta(),
-        residual,
-        mask,
-        approx,
-        survivors,
-        range,
-        morsels,
-        pool,
-    )?;
-    let merge_bytes = if survivors.is_some() {
-        cand_n as u64 * 4
-    } else {
-        0
-    };
-    if col.bound.meta().fully_device_resident() {
+    let src = scan_src(col, fk)?;
+    let out = refine_filter(meta, residual, sel, src, survivors, range, morsels, pool)?;
+    let merge_bytes = if survivors.is_some() { cand_n * 4 } else { 0 };
+    if meta.fully_device_resident() {
         env.charge_host_scan(
             "select.refine.materialize",
             refined_n as u64 * 4 + merge_bytes,
@@ -1164,31 +926,16 @@ fn build_device_block(
     let mut block = RowBlock::new(cands.len());
     let ranges = partition_ranges(cands.len(), morsels);
     for (name, c) in needed {
-        let arr = c.bound.approx();
-        let stored = if c.is_dim {
-            let fk = fk.ok_or_else(|| BwdError::Exec("dim column without FK".into()))?;
-            let stored = gather_stored(arr, Some(fk.device()), cands, morsels);
-            charge_gather_indirect(
-                env,
-                arr,
-                fk.device(),
-                cands.len(),
-                "aggregate.gather",
-                ledger,
-            );
-            stored
-        } else {
-            let stored = gather_stored(arr, None, cands, morsels);
-            charge_gather(
-                env,
-                arr,
-                cands.dense,
-                cands.len(),
-                "aggregate.gather",
-                ledger,
-            );
-            stored
-        };
+        let src = scan_src(c, fk)?;
+        let stored = gather_stored(src, cands, morsels);
+        charge_gather(
+            env,
+            src,
+            cands.dense,
+            cands.len(),
+            "aggregate.gather",
+            ledger,
+        );
         let meta = c.bound.meta();
         let mut payloads = vec![0i64; stored.len()];
         run_parts_mut(&mut payloads, &ranges, |_, r, chunk| {
@@ -1232,33 +979,20 @@ fn build_host_block(
         Some(translucent_starts(&cands.oids, survivors, &ranges)?)
     };
     for (name, c) in needed {
-        let arr = c.bound.approx();
         let residual = ResidualSrc::for_column(
             c.bound,
             c.is_dim,
             fk.map(FkIndex::host_slice),
             survivors.len(),
         );
-        let link = if c.is_dim {
-            Some(
-                fk.ok_or_else(|| BwdError::Exec("dim column without FK".into()))?
-                    .device(),
-            )
+        let src = scan_src(c, fk)?;
+        let approx = gather_stored(src, cands, morsels);
+        let label = if c.is_dim {
+            "join.fk.approx"
         } else {
-            None
+            "project.approx.gather"
         };
-        let approx = gather_stored(arr, link, cands, morsels);
-        match link {
-            None => charge_gather(
-                env,
-                arr,
-                cands.dense,
-                cands.len(),
-                "project.approx.gather",
-                ledger,
-            ),
-            Some(l) => charge_gather_indirect(env, arr, l, cands.len(), "join.fk.approx", ledger),
-        }
+        charge_gather(env, src, cands.dense, cands.len(), label, ledger);
         // The refinement consumes the approximate projection positionally
         // aligned with the candidate list.
         let payloads = refine_payloads(

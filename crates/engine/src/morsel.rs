@@ -16,8 +16,8 @@
 //!   assignment and per-socket recycled buffers, so a morsel's scratch
 //!   allocations never cross the modeled socket seam and the parallel
 //!   path allocates zero intermediate vectors per morsel in steady state;
-//! * the drivers ([`refine_filter`], [`refine_filter_mask`],
-//!   [`refine_payloads`], [`gather_stored`], [`group_rows`]) — one per
+//! * the drivers ([`refine_filter`], [`refine_payloads`],
+//!   [`gather_stored`], [`group_rows`]) — one per
 //!   parallelized refinement stage, each built on the translucent-join
 //!   partitioning below.
 //!
@@ -46,8 +46,8 @@
 
 use bwd_core::translucent::translucent_join_with;
 use bwd_core::RangePred;
-use bwd_kernels::scan::{cache_worthwhile, scan_block_ranges};
-use bwd_kernels::{Candidates, DeviceArray, SelMask};
+use bwd_kernels::scan::cache_worthwhile;
+use bwd_kernels::{gather_partition_into, Candidates, ScanSrc, SelVec};
 use bwd_storage::{BitPackedVec, BlockDecoder, DecompositionMeta};
 use bwd_types::{BwdError, Oid, Result};
 use std::ops::Range;
@@ -418,190 +418,100 @@ pub(crate) fn translucent_starts(
 /// Morsel-parallel selection refinement: reconstruct each refined tuple's
 /// exact payload (approximation ‖ residual) and keep the oids passing the
 /// precise `range` test, in candidate order. `survivors` restricts the
-/// refinement to an earlier refinement's output (translucent join);
-/// `None` refines the full candidate list. Pure computation — the caller
-/// charges the simulated cost from the merged totals.
+/// refinement to an earlier refinement's output; `None` refines the whole
+/// selection, which must then be a candidate list (the gather boundary
+/// materializes a final bitmap). Pure computation — the caller charges
+/// the simulated cost from the merged totals.
+///
+/// A candidate list carries its approximations, and survivors align with
+/// it through the translucent join. A bitmap's membership is positional,
+/// so the translucent join disappears and each survivor's approximation
+/// is re-read from `src` — bit-identical to refining the materialized
+/// list.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn refine_filter(
     meta: &DecompositionMeta,
     residual: ResidualSrc<'_>,
-    cands: &Candidates,
+    sel: &SelVec,
+    src: ScanSrc<'_>,
     survivors: Option<&[Oid]>,
     range: &RangePred,
     morsels: usize,
     pool: &ScratchPool,
 ) -> Result<Vec<Oid>> {
-    match survivors {
+    let keep = |out: &mut Vec<Oid>, res: &mut ResidualReader<'_>, oid: Oid, stored: u64| {
+        if range.test(meta.payload_from_parts(stored, res.get(oid))) {
+            out.push(oid);
+        }
+    };
+    let (plan, outs) = match survivors {
         None => {
-            // Aligned zip over (oids, approx); mirrors the serial loop's
-            // zip truncation to the shorter side.
-            let n = cands.oids.len().min(cands.approx.len());
-            let ranges = partition_ranges(n, morsels);
+            let c = sel
+                .as_indices()
+                .expect("a bitmap is materialized at the gather boundary");
+            // Aligned zip over (oids, approx): truncate to the shorter side.
+            let ranges = partition_ranges(c.oids.len().min(c.approx.len()), morsels);
             let plan = SocketPlan::new(ranges.len(), pool.sockets());
-            let outs = run_parts(&ranges, |p, r| {
+            let outs = run_parts(&ranges, |p, r| -> Result<Vec<Oid>> {
                 let mut out = pool.take_u32(plan.socket_of(p));
                 let mut res = residual.reader();
-                for (&oid, &stored) in cands.oids[r.clone()].iter().zip(&cands.approx[r]) {
-                    if range.test(meta.payload_from_parts(stored, res.get(oid))) {
-                        out.push(oid);
-                    }
+                for (&oid, &stored) in c.oids[r.clone()].iter().zip(&c.approx[r]) {
+                    keep(&mut out, &mut res, oid, stored);
                 }
-                out
+                Ok(out)
             });
-            let mut merged = Vec::with_capacity(outs.iter().map(Vec::len).sum());
-            for (p, out) in outs.into_iter().enumerate() {
-                merged.extend_from_slice(&out);
-                pool.put_u32(plan.socket_of(p), out);
-            }
-            Ok(merged)
+            (plan, outs)
         }
         Some(subset) => {
             let ranges = partition_ranges(subset.len(), morsels);
             let plan = SocketPlan::new(ranges.len(), pool.sockets());
-            let starts = if cands.dense {
-                None
-            } else {
-                Some(translucent_starts(&cands.oids, subset, &ranges)?)
+            let starts = match sel {
+                SelVec::Indices(c) if !c.dense => {
+                    Some(translucent_starts(&c.oids, subset, &ranges)?)
+                }
+                _ => None,
             };
             let outs = run_parts(&ranges, |p, r| -> Result<Vec<Oid>> {
                 let mut out = pool.take_u32(plan.socket_of(p));
                 let mut res = residual.reader();
                 let sub = &subset[r];
-                let (a_ids, a_vals, base) = match &starts {
-                    None => (&cands.oids[..], &cands.approx[..], Some(0)),
-                    Some(s) => (&cands.oids[s[p]..], &cands.approx[s[p]..], None),
-                };
-                translucent_join_with(a_ids, a_vals, base, sub, |bi, stored| {
-                    let oid = sub[bi];
-                    if range.test(meta.payload_from_parts(stored, res.get(oid))) {
-                        out.push(oid);
+                match sel {
+                    SelVec::Indices(c) => {
+                        let (a_ids, a_vals, base) = match &starts {
+                            None => (&c.oids[..], &c.approx[..], Some(0)),
+                            Some(s) => (&c.oids[s[p]..], &c.approx[s[p]..], None),
+                        };
+                        translucent_join_with(a_ids, a_vals, base, sub, |bi, stored| {
+                            keep(&mut out, &mut res, sub[bi], stored);
+                        })?;
                     }
-                })?;
+                    SelVec::Bitmap(mask) => {
+                        for &oid in sub {
+                            // Survivors shrink monotonically down the
+                            // chain, so every one is set in this
+                            // (earlier) selection's mask.
+                            debug_assert_eq!(
+                                mask.words()[oid as usize / 64] >> (oid % 64) & 1,
+                                1,
+                                "survivor oid {oid} not in refined selection's mask"
+                            );
+                            keep(&mut out, &mut res, oid, src.get(oid as usize));
+                        }
+                    }
+                }
                 Ok(out)
             });
-            let mut merged = Vec::new();
-            for (p, out) in outs.into_iter().enumerate() {
-                let out = out?;
-                merged.extend_from_slice(&out);
-                pool.put_u32(plan.socket_of(p), out);
-            }
-            Ok(merged)
+            (plan, outs)
         }
+    };
+    let total = outs.iter().map(|o| o.as_ref().map_or(0, Vec::len)).sum();
+    let mut merged = Vec::with_capacity(total);
+    for (p, out) in outs.into_iter().enumerate() {
+        let out = out?;
+        merged.extend_from_slice(&out);
+        pool.put_u32(plan.socket_of(p), out);
     }
-}
-
-/// Where a mask-driven refinement reads a candidate's *stored
-/// approximation*: a positional bitmap carries no value column, so the
-/// refinement decodes each survivor's approximation straight from the
-/// (replicated-on-host) device array — `arr[oid]` for fact-side
-/// predicates, `arr[link[oid]]` through the FK link for dimension-side
-/// ones. Decoding reproduces exactly the values the materialized
-/// candidate list would have carried, so results stay bit-identical to
-/// [`refine_filter`] over [`SelMask::to_candidates`] output.
-#[derive(Clone, Copy)]
-pub(crate) enum ApproxSrc<'a> {
-    Direct(&'a DeviceArray),
-    Linked(&'a DeviceArray, &'a DeviceArray),
-}
-
-impl ApproxSrc<'_> {
-    #[inline]
-    fn get(&self, oid: Oid) -> u64 {
-        match *self {
-            ApproxSrc::Direct(arr) => arr.get(oid as usize),
-            ApproxSrc::Linked(arr, link) => arr.get(link.get(oid as usize) as usize),
-        }
-    }
-}
-
-/// [`refine_filter`] consuming the *bitmap* representation directly — no
-/// index-list materialization round-trip. With no survivor subset the
-/// mask's blocks are walked in the scan's emission order (each worker
-/// decodes its chunk of blocks into per-socket scratch 64 rows at a
-/// time); with a subset, membership is positional so the translucent join
-/// disappears entirely: each survivor's approximation is re-decoded from
-/// `approx` and re-tested. Output order equals what [`refine_filter`]
-/// produces over the materialized list, bit for bit.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn refine_filter_mask(
-    meta: &DecompositionMeta,
-    residual: ResidualSrc<'_>,
-    mask: &SelMask,
-    approx: ApproxSrc<'_>,
-    survivors: Option<&[Oid]>,
-    range: &RangePred,
-    morsels: usize,
-    pool: &ScratchPool,
-) -> Result<Vec<Oid>> {
-    match survivors {
-        None => {
-            let blocks = scan_block_ranges(mask.rows(), &mask.scan_options());
-            let chunks = partition_ranges_min(blocks.len(), morsels, 1);
-            let plan = SocketPlan::new(chunks.len(), pool.sockets());
-            let outs = run_parts(&chunks, |p, chunk| {
-                let sock = plan.socket_of(p);
-                let mut out = pool.take_u32(sock);
-                let mut oids = pool.take_u32(sock);
-                let mut vals = pool.take_u64(sock);
-                let mut res = residual.reader();
-                for b in &blocks[chunk] {
-                    oids.clear();
-                    vals.clear();
-                    match approx {
-                        ApproxSrc::Direct(arr) => {
-                            mask.append_block(arr, b.clone(), &mut oids, &mut vals);
-                        }
-                        ApproxSrc::Linked(arr, link) => {
-                            mask.append_block_indirect(arr, link, b.clone(), &mut oids, &mut vals);
-                        }
-                    }
-                    for (&oid, &stored) in oids.iter().zip(&vals) {
-                        if range.test(meta.payload_from_parts(stored, res.get(oid))) {
-                            out.push(oid);
-                        }
-                    }
-                }
-                (out, oids, vals)
-            });
-            let mut merged = Vec::with_capacity(outs.iter().map(|(o, _, _)| o.len()).sum());
-            for (p, (out, oids, vals)) in outs.into_iter().enumerate() {
-                let sock = plan.socket_of(p);
-                merged.extend_from_slice(&out);
-                pool.put_u32(sock, out);
-                pool.put_u32(sock, oids);
-                pool.put_u64(sock, vals);
-            }
-            Ok(merged)
-        }
-        Some(subset) => {
-            let ranges = partition_ranges(subset.len(), morsels);
-            let plan = SocketPlan::new(ranges.len(), pool.sockets());
-            let words = mask.words();
-            let outs = run_parts(&ranges, |p, r| {
-                let mut out = pool.take_u32(plan.socket_of(p));
-                let mut res = residual.reader();
-                for &oid in &subset[r] {
-                    // Survivors shrink monotonically down the chain, so
-                    // every subset position is set in this (earlier)
-                    // selection's mask.
-                    debug_assert_eq!(
-                        words[oid as usize / 64] >> (oid as usize % 64) & 1,
-                        1,
-                        "survivor oid {oid} not in refined selection's mask"
-                    );
-                    if range.test(meta.payload_from_parts(approx.get(oid), res.get(oid))) {
-                        out.push(oid);
-                    }
-                }
-                out
-            });
-            let mut merged = Vec::new();
-            for (p, out) in outs.into_iter().enumerate() {
-                merged.extend_from_slice(&out);
-                pool.put_u32(plan.socket_of(p), out);
-            }
-            Ok(merged)
-        }
-    }
+    Ok(merged)
 }
 
 /// Morsel-parallel projection refinement: exact payloads for every
@@ -640,25 +550,16 @@ pub(crate) fn refine_payloads(
     Ok(out)
 }
 
-/// Morsel-parallel positional gather of stored approximations — direct
-/// (`arr[oid]`) or through a device-resident FK link
-/// (`arr[link[oid]]`). Dense candidates bulk-decode their range directly.
-/// Pure computation; output aligns with the candidate list.
-pub(crate) fn gather_stored(
-    arr: &DeviceArray,
-    link: Option<&DeviceArray>,
-    cands: &Candidates,
-    morsels: usize,
-) -> Vec<u64> {
+/// Morsel-parallel positional gather of stored approximations from `src`
+/// — direct (`arr[oid]`) or through a device-resident FK link
+/// (`arr[link[oid]]`), see [`gather_partition_into`]. Pure computation;
+/// output aligns with the candidate list.
+pub(crate) fn gather_stored(src: ScanSrc<'_>, cands: &Candidates, morsels: usize) -> Vec<u64> {
     let n = cands.len();
     let mut out = vec![0u64; n];
     let ranges = partition_ranges(n, morsels);
-    run_parts_mut(&mut out, &ranges, |_, r, chunk| match link {
-        None if cands.dense => arr.data().unpack_range(r.start, chunk),
-        None => bwd_kernels::gather::gather_partition_into(arr, &cands.oids[r], chunk),
-        Some(l) => {
-            bwd_kernels::gather::gather_indirect_partition_into(arr, l, &cands.oids[r], chunk)
-        }
+    run_parts_mut(&mut out, &ranges, |_, r, chunk| {
+        gather_partition_into(src, cands, r, chunk);
     });
     out
 }

@@ -29,6 +29,19 @@ pub struct Candidates {
 }
 
 impl Candidates {
+    /// A candidate list over aligned `(oids, approx)` in emission order,
+    /// with its `sorted`/`dense` flags computed.
+    pub fn new(oids: Vec<Oid>, approx: Vec<u64>) -> Self {
+        let mut c = Candidates {
+            oids,
+            approx,
+            sorted: false,
+            dense: false,
+        };
+        c.refresh_flags();
+        c
+    }
+
     /// An empty candidate list (vacuously sorted and dense).
     pub fn empty() -> Self {
         Candidates {

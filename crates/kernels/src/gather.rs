@@ -8,137 +8,96 @@
 //! extra indirection through the device-resident key column — which is why
 //! the paper's implementation shares code between the two.
 
-use crate::array::DeviceArray;
 use crate::candidates::Candidates;
+use crate::scan::ScanSrc;
 use bwd_device::units::{element_access_bytes, packed_stream_bytes};
 use bwd_device::{CostLedger, Env};
+use std::ops::Range;
 
-/// Fetch `arr[oid]` for every candidate. The result is positionally
-/// aligned with the candidate list (the projection writes each value at
-/// its input's position, which is what keeps the shared permutation —
-/// §IV-A item 2).
+/// Fetch every candidate's stored value from `src`: `arr[oid]` for a
+/// projection, `arr[link[oid]]` for a foreign-key join through a
+/// device-resident key column (e.g. `part[lineitem.partkey]`). The result
+/// is positionally aligned with the candidate list (the projection writes
+/// each value at its input's position, which is what keeps the shared
+/// permutation — §IV-A item 2).
 pub fn gather(
     env: &Env,
-    arr: &DeviceArray,
+    src: ScanSrc<'_>,
     cands: &Candidates,
     label: &str,
     ledger: &mut CostLedger,
 ) -> Vec<u64> {
     let mut out = vec![0u64; cands.len()];
-    if cands.dense {
-        // Dense candidates are `0..n`: the gather is a straight bulk
-        // decode, no positional lookups at all.
-        arr.data().unpack_range(0, &mut out);
-    } else {
-        gather_partition_into(arr, &cands.oids, &mut out);
-    }
-    charge_gather(env, arr, cands.dense, cands.len(), label, ledger);
+    gather_partition_into(src, cands, 0..cands.len(), &mut out);
+    charge_gather(env, src, cands.dense, cands.len(), label, ledger);
     out
 }
 
-/// The simulated cost of a [`gather`] of `n` candidates (dense candidates
-/// stream coalesced; scattered ones pay the random-access rate). Split out
-/// so a morsel-parallel caller that ran [`gather_partition_into`] itself
-/// charges exactly what the serial kernel would.
+/// The simulated cost of a [`gather`] of `n` candidates: dense candidates
+/// of a direct source stream coalesced, scattered ones pay the
+/// random-access rate, and a foreign-key join pays it twice (key, then
+/// value). Split out so a morsel-parallel caller that ran
+/// [`gather_partition_into`] itself charges exactly what the serial
+/// kernel would.
 pub fn charge_gather(
     env: &Env,
-    arr: &DeviceArray,
+    src: ScanSrc<'_>,
     dense: bool,
     n: usize,
     label: &str,
     ledger: &mut CostLedger,
 ) {
-    if dense {
-        // Dense candidates read the array front to back: perfectly
-        // coalesced, so charge the sequential stream rate.
-        env.charge_kernel(
-            label,
-            arr.packed_bytes() + out_bytes(arr.width(), n),
-            n as u64,
-            ledger,
-        );
-    } else {
-        let touched = n as u64 * element_access_bytes(arr.width()) + out_bytes(arr.width(), n);
-        env.charge_kernel_scattered(label, touched, n as u64, ledger);
+    match src {
+        ScanSrc::Direct(arr) if dense => {
+            // Dense candidates read the array front to back: perfectly
+            // coalesced, so charge the sequential stream rate.
+            env.charge_kernel(
+                label,
+                arr.packed_bytes() + out_bytes(arr.width(), n),
+                n as u64,
+                ledger,
+            );
+        }
+        ScanSrc::Direct(arr) => {
+            let touched = n as u64 * element_access_bytes(arr.width()) + out_bytes(arr.width(), n);
+            env.charge_kernel_scattered(label, touched, n as u64, ledger);
+        }
+        ScanSrc::Indirect { arr, link } => {
+            let touched = n as u64
+                * (element_access_bytes(link.width()) + element_access_bytes(arr.width()))
+                + out_bytes(arr.width(), n);
+            env.charge_kernel_scattered(label, touched, 2 * n as u64, ledger);
+        }
     }
 }
 
-/// Fetch `values[link[oid]]` for every candidate: a foreign-key join with
-/// a device-resident key column (`link`), e.g. `part[lineitem.partkey]`.
-pub fn gather_indirect(
-    env: &Env,
-    values: &DeviceArray,
-    link: &DeviceArray,
+/// Fetch the values of candidates at positions `part` of `cands` into
+/// `out` (`out.len() == part.len()`) — the partition form: pure
+/// computation, no cost charge, so a morsel-parallel caller writes
+/// disjoint chunks of one shared output buffer and charges the merged
+/// totals once. Dense candidates of a direct source bulk-decode their
+/// range, with no positional lookups at all.
+pub fn gather_partition_into(
+    src: ScanSrc<'_>,
     cands: &Candidates,
-    label: &str,
-    ledger: &mut CostLedger,
-) -> Vec<u64> {
-    let mut out = vec![0u64; cands.len()];
-    gather_indirect_partition_into(values, link, &cands.oids, &mut out);
-    charge_gather_indirect(env, values, link, cands.len(), label, ledger);
-    out
-}
-
-/// The simulated cost of a [`gather_indirect`] of `n` candidates.
-pub fn charge_gather_indirect(
-    env: &Env,
-    values: &DeviceArray,
-    link: &DeviceArray,
-    n: usize,
-    label: &str,
-    ledger: &mut CostLedger,
-) {
-    let touched = n as u64
-        * (element_access_bytes(link.width()) + element_access_bytes(values.width()))
-        + out_bytes(values.width(), n);
-    env.charge_kernel_scattered(label, touched, 2 * n as u64, ledger);
-}
-
-/// Fetch `arr[oid]` for a slice of candidate oids — the partition-aware
-/// entry point: pure computation, no cost charge, so a scheduler can fan
-/// a large gather out over worker threads (each takes a contiguous
-/// sub-slice of the candidate list) and charge the merged totals once.
-/// Concatenating partition outputs in slice order reproduces
-/// [`gather`]'s positional alignment exactly.
-pub fn gather_partition(arr: &DeviceArray, oids: &[bwd_types::Oid]) -> Vec<u64> {
-    let mut out = vec![0u64; oids.len()];
-    gather_partition_into(arr, oids, &mut out);
-    out
-}
-
-/// [`gather_partition`] into a caller-provided slice (`out.len()` must
-/// equal `oids.len()`) — the zero-allocation form morsel workers use to
-/// write disjoint chunks of one shared output buffer.
-pub fn gather_partition_into(arr: &DeviceArray, oids: &[bwd_types::Oid], out: &mut [u64]) {
-    debug_assert_eq!(oids.len(), out.len());
-    for (slot, &o) in out.iter_mut().zip(oids) {
-        *slot = arr.get(o as usize);
-    }
-}
-
-/// [`gather_partition_into`] through a link array (`values[link[oid]]`).
-pub fn gather_indirect_partition_into(
-    values: &DeviceArray,
-    link: &DeviceArray,
-    oids: &[bwd_types::Oid],
+    part: Range<usize>,
     out: &mut [u64],
 ) {
-    debug_assert_eq!(oids.len(), out.len());
-    for (slot, &o) in out.iter_mut().zip(oids) {
-        *slot = values.get(link.get(o as usize) as usize);
+    debug_assert_eq!(part.len(), out.len());
+    match src {
+        // Dense candidates are `0..n`: position and oid coincide.
+        ScanSrc::Direct(arr) if cands.dense => arr.data().unpack_range(part.start, out),
+        ScanSrc::Direct(arr) => {
+            for (slot, &o) in out.iter_mut().zip(&cands.oids[part]) {
+                *slot = arr.get(o as usize);
+            }
+        }
+        ScanSrc::Indirect { arr, link } => {
+            for (slot, &o) in out.iter_mut().zip(&cands.oids[part]) {
+                *slot = arr.get(link.get(o as usize) as usize);
+            }
+        }
     }
-}
-
-/// The foreign-key codes themselves (`link[oid]` per candidate), for plans
-/// that project several columns of the joined table.
-pub fn gather_keys(
-    env: &Env,
-    link: &DeviceArray,
-    cands: &Candidates,
-    label: &str,
-    ledger: &mut CostLedger,
-) -> Vec<u64> {
-    gather(env, link, cands, label, ledger)
 }
 
 fn out_bytes(width_bits: u32, n: usize) -> u64 {
@@ -148,6 +107,7 @@ fn out_bytes(width_bits: u32, n: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::array::DeviceArray;
     use bwd_storage::BitPackedVec;
 
     fn arr(env: &Env, width: u32, vals: &[u64]) -> DeviceArray {
@@ -179,7 +139,7 @@ mod tests {
         let a = arr(&env, 16, &(0..1000u64).map(|i| i * 3).collect::<Vec<_>>());
         let c = cands(vec![5, 2, 999, 0]);
         let mut ledger = CostLedger::new();
-        let out = gather(&env, &a, &c, "proj", &mut ledger);
+        let out = gather(&env, ScanSrc::Direct(&a), &c, "proj", &mut ledger);
         assert_eq!(out, vec![15, 6, 2997, 0]);
         assert!(ledger.breakdown().device > 0.0);
     }
@@ -193,7 +153,11 @@ mod tests {
         let partkey = arr(&env, 2, &[3, 0, 1, 1, 2, 0]);
         let c = cands(vec![0, 4, 5]);
         let mut ledger = CostLedger::new();
-        let out = gather_indirect(&env, &ptype, &partkey, &c, "fkjoin", &mut ledger);
+        let src = ScanSrc::Indirect {
+            arr: &ptype,
+            link: &partkey,
+        };
+        let out = gather(&env, src, &c, "fkjoin", &mut ledger);
         assert_eq!(out, vec![40, 30, 10]);
     }
 
@@ -209,8 +173,12 @@ mod tests {
         let c = cands((0..5000u32).collect());
         let mut l_direct = CostLedger::new();
         let mut l_indirect = CostLedger::new();
-        let _ = gather(&env, &vals, &c, "d", &mut l_direct);
-        let _ = gather_indirect(&env, &vals, &link, &c, "i", &mut l_indirect);
+        let _ = gather(&env, ScanSrc::Direct(&vals), &c, "d", &mut l_direct);
+        let indirect = ScanSrc::Indirect {
+            arr: &vals,
+            link: &link,
+        };
+        let _ = gather(&env, indirect, &c, "i", &mut l_indirect);
         assert!(l_indirect.breakdown().device > l_direct.breakdown().device);
     }
 
@@ -219,6 +187,13 @@ mod tests {
         let env = Env::paper_default();
         let a = arr(&env, 8, &[1, 2, 3]);
         let mut ledger = CostLedger::new();
-        assert!(gather(&env, &a, &Candidates::empty(), "p", &mut ledger).is_empty());
+        assert!(gather(
+            &env,
+            ScanSrc::Direct(&a),
+            &Candidates::empty(),
+            "p",
+            &mut ledger
+        )
+        .is_empty());
     }
 }

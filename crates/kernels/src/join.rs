@@ -5,7 +5,7 @@
 //! thread owns one outer tuple and streams the inner relation. They are
 //! the one generic join the paper considers a good fit for the device; the
 //! equi-join case goes through pre-built foreign-key indexes instead (see
-//! [`crate::gather::gather_indirect`]).
+//! [`crate::gather::gather`] over [`crate::ScanSrc::Indirect`]).
 //!
 //! The cost model is compute-bound (`|outer| × |inner|` comparisons) with
 //! the inner relation streamed from device memory once per outer *block*

@@ -9,9 +9,11 @@
 //!
 //! Kernel inventory:
 //!
-//! * [`scan`] — relaxed range selections over packed approximations (SWAR
-//!   word-parallel in the packed domain where the width allows), with
-//!   the block-scrambled output order of a parallel selection;
+//! * [`scan`] — the one relaxed range-selection kernel over packed
+//!   approximations (direct or through an FK link; over every row, a
+//!   candidate list or a bitmap; SWAR word-parallel in the packed domain
+//!   where the width allows), with the block-scrambled output order of a
+//!   parallel selection;
 //! * [`selvec`] — adaptive candidate representations: positional match
 //!   bitmaps ([`SelMask`]) vs materialized index lists, convertible
 //!   bit-identically;
@@ -34,8 +36,8 @@ pub mod selvec;
 
 pub use array::DeviceArray;
 pub use candidates::Candidates;
-pub use gather::{gather_partition, gather_partition_into};
+pub use gather::gather_partition_into;
 pub use group::{GroupResult, MultiGroupResult};
 pub use join::Theta;
-pub use scan::{scan_block_ranges, select_range_partition, ScanOptions};
+pub use scan::{scan_block_ranges, select_partition, ScanInput, ScanOptions, ScanOut, ScanSrc};
 pub use selvec::{SelMask, SelVec};

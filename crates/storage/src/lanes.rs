@@ -27,10 +27,6 @@
 //! The bound-classification constants ([`LaneParams`]) are computed once
 //! per predicate by [`crate::RangeMatcher`] and threaded in by value;
 //! nothing in the per-batch loop depends on runtime classification.
-//!
-//! With the (off-by-default) `portable-simd` cargo feature the batch ops
-//! are expressed through `core::simd` instead of autovectorized loops —
-//! same semantics, nightly-only toolchains.
 
 /// The per-predicate SWAR constants, hoisted out of every loop: the
 /// element mask, the spare-bit mask `H`, and the replicated bound
@@ -47,19 +43,6 @@ pub struct LaneParams {
     pub hi1_rep: u64,
 }
 
-/// How many 64-element blocks one batch iteration evaluates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LaneCount {
-    /// Four blocks per iteration ([`U64x4`]) — two SSE2 registers per
-    /// batch op.
-    X4,
-    /// Eight blocks per iteration ([`U64x8`]) — the default; the wider
-    /// straight-line body wins on every width ≤ 16 even on SSE2 (better
-    /// load/ALU overlap), and AVX-class targets map it directly.
-    #[default]
-    X8,
-}
-
 /// A fixed batch of `N` lanes of `u64`, cache-line aligned. One lane
 /// holds one 64-element block's state; batch operations are element-wise
 /// and uniform, which is exactly the shape the autovectorizer turns into
@@ -68,9 +51,9 @@ pub enum LaneCount {
 #[repr(C, align(64))]
 pub struct U64xN<const N: usize>(pub [u64; N]);
 
-/// Four-lane batch (the default production batch width).
+/// Four-lane batch (drains what the eight-lane batches leave over).
 pub type U64x4 = U64xN<4>;
-/// Eight-lane batch.
+/// Eight-lane batch (the bulk of every fill).
 pub type U64x8 = U64xN<8>;
 
 impl<const N: usize> U64xN<N> {
@@ -120,7 +103,6 @@ impl<const N: usize> U64xN<N> {
     }
 }
 
-#[cfg(not(feature = "portable-simd"))]
 impl<const N: usize> U64xN<N> {
     /// Lane-wise OR.
     #[inline(always)]
@@ -192,65 +174,6 @@ impl<const N: usize> U64xN<N> {
             *slot >>= k;
         }
         U64xN(r)
-    }
-}
-
-/// The same batch ops through `core::simd` (nightly-only; enable with
-/// `--features portable-simd`). Semantics are identical to the
-/// autovectorized loops — the swar tests and the scan benchmark's
-/// identity checks hold under either build.
-#[cfg(feature = "portable-simd")]
-impl<const N: usize> U64xN<N>
-where
-    core::simd::LaneCount<N>: core::simd::SupportedLaneCount,
-{
-    #[inline(always)]
-    fn simd(self) -> core::simd::Simd<u64, N> {
-        core::simd::Simd::from_array(self.0)
-    }
-
-    /// Lane-wise OR.
-    #[inline(always)]
-    pub fn or(self, o: Self) -> Self {
-        U64xN((self.simd() | o.simd()).to_array())
-    }
-
-    /// Lane-wise `self & !o`.
-    #[inline(always)]
-    pub fn andnot(self, o: Self) -> Self {
-        U64xN((self.simd() & !o.simd()).to_array())
-    }
-
-    /// Every lane ANDed with the scalar `m`.
-    #[inline(always)]
-    pub fn and1(self, m: u64) -> Self {
-        U64xN((self.simd() & core::simd::Simd::splat(m)).to_array())
-    }
-
-    /// Every lane ORed with the scalar `m`.
-    #[inline(always)]
-    pub fn or1(self, m: u64) -> Self {
-        U64xN((self.simd() | core::simd::Simd::splat(m)).to_array())
-    }
-
-    /// Every lane wrapping-subtracting the scalar `m`.
-    #[inline(always)]
-    pub fn sub1(self, m: u64) -> Self {
-        U64xN((self.simd() - core::simd::Simd::splat(m)).to_array())
-    }
-
-    /// Every lane shifted left by `k` (`k < 64`).
-    #[inline(always)]
-    #[allow(clippy::should_implement_trait)]
-    pub fn shl(self, k: u32) -> Self {
-        U64xN((self.simd() << core::simd::Simd::splat(k as u64)).to_array())
-    }
-
-    /// Every lane shifted right by `k` (`k < 64`).
-    #[inline(always)]
-    #[allow(clippy::should_implement_trait)]
-    pub fn shr(self, k: u32) -> Self {
-        U64xN((self.simd() >> core::simd::Simd::splat(k as u64)).to_array())
     }
 }
 
@@ -379,15 +302,12 @@ fn fill_blocks_w<const W: usize>(
     words: &[u64],
     first_block: usize,
     out: &mut [u64],
-    lc: LaneCount,
 ) {
     let n = out.len();
     let mut b = 0usize;
-    if matches!(lc, LaneCount::X8) {
-        while b + 8 <= n {
-            match_blocks::<W, 8>(p, words, (first_block + b) * W).store(&mut out[b..b + 8]);
-            b += 8;
-        }
+    while b + 8 <= n {
+        match_blocks::<W, 8>(p, words, (first_block + b) * W).store(&mut out[b..b + 8]);
+        b += 8;
     }
     while b + 4 <= n {
         match_blocks::<W, 4>(p, words, (first_block + b) * W).store(&mut out[b..b + 4]);
@@ -417,24 +337,17 @@ macro_rules! width_table {
 /// Every covered block must be *full* (the caller handles a partial tail
 /// block) and `width` must be SWAR-applicable.
 ///
-/// Dispatches to the width-monomorphized batch kernel; `lc` picks the
-/// batch width (remainders drain through narrower batches, so any `out`
-/// length is fine and the result is independent of `lc`).
-pub fn fill_blocks(
-    width: u32,
-    p: LaneParams,
-    words: &[u64],
-    first_block: usize,
-    out: &mut [u64],
-    lc: LaneCount,
-) {
-    type FillFn = fn(LaneParams, &[u64], usize, &mut [u64], LaneCount);
+/// Dispatches to the width-monomorphized batch kernel: eight blocks per
+/// iteration, the remainder drained through four- and one-block batches,
+/// so any `out` length is fine.
+pub fn fill_blocks(width: u32, p: LaneParams, words: &[u64], first_block: usize, out: &mut [u64]) {
+    type FillFn = fn(LaneParams, &[u64], usize, &mut [u64]);
     const FILLS: [FillFn; 21] = width_table!(fill_blocks_w as FillFn);
     assert!(
         (1..=21).contains(&width),
         "lane kernel width {width} outside 1..=21"
     );
-    FILLS[width as usize - 1](p, words, first_block, out, lc)
+    FILLS[width as usize - 1](p, words, first_block, out)
 }
 
 fn match_block_w<const W: usize>(p: LaneParams, words: &[u64], block: usize) -> u64 {
@@ -494,8 +407,8 @@ mod tests {
     }
 
     /// Batch kernels equal the `get()`-based reference for every SWAR
-    /// width, both batch widths, and any block count (so every drain
-    /// combination of X8/X4/X1 inner kernels runs).
+    /// width and a block count at which every drain combination of the
+    /// X8/X4/X1 inner kernels runs.
     #[test]
     fn fill_blocks_matches_reference_all_widths() {
         for width in 1u32..=21 {
@@ -509,11 +422,9 @@ mod tests {
                 let expect: Vec<u64> = (0..nblocks)
                     .map(|b| reference_block(&v, b, lo, hi))
                     .collect();
-                for lc in [LaneCount::X4, LaneCount::X8] {
-                    let mut got = vec![0u64; nblocks];
-                    fill_blocks(width, p, v.words(), 0, &mut got, lc);
-                    assert_eq!(got, expect, "width={width} lo={lo} hi={hi} {lc:?}");
-                }
+                let mut got = vec![0u64; nblocks];
+                fill_blocks(width, p, v.words(), 0, &mut got);
+                assert_eq!(got, expect, "width={width} lo={lo} hi={hi}");
                 for (b, &e) in expect.iter().enumerate() {
                     assert_eq!(
                         match_block(width, p, v.words(), b),
@@ -535,20 +446,20 @@ mod tests {
             let max = low_mask(width);
             let p = params(width, max / 8, max / 2);
             let mut whole = vec![0u64; 20];
-            fill_blocks(width, p, v.words(), 0, &mut whole, LaneCount::X4);
+            fill_blocks(width, p, v.words(), 0, &mut whole);
             for first in [1usize, 5, 13, 19] {
                 let mut part = vec![0u64; 20 - first];
-                fill_blocks(width, p, v.words(), first, &mut part, LaneCount::X8);
+                fill_blocks(width, p, v.words(), first, &mut part);
                 assert_eq!(part, whole[first..], "width={width} first={first}");
             }
         }
     }
 
     proptest! {
-        /// X4 and X8 agree with each other and the reference for
-        /// arbitrary widths, bounds and block counts.
+        /// The batch kernels agree with the reference for arbitrary
+        /// widths, bounds and block counts.
         #[test]
-        fn prop_batch_widths_agree(
+        fn prop_fill_blocks_matches_reference(
             width in 1u32..=21,
             nblocks in 1usize..24,
             seed in any::<u64>(),
@@ -564,12 +475,9 @@ mod tests {
             let expect: Vec<u64> = (0..nblocks)
                 .map(|b| reference_block(&v, b, lo, hi))
                 .collect();
-            let mut x4 = vec![0u64; nblocks];
-            let mut x8 = vec![0u64; nblocks];
-            fill_blocks(width, p, v.words(), 0, &mut x4, LaneCount::X4);
-            fill_blocks(width, p, v.words(), 0, &mut x8, LaneCount::X8);
-            prop_assert_eq!(&x4, &expect);
-            prop_assert_eq!(&x8, &expect);
+            let mut got = vec![0u64; nblocks];
+            fill_blocks(width, p, v.words(), 0, &mut got);
+            prop_assert_eq!(&got, &expect);
         }
     }
 }

@@ -1,4 +1,3 @@
-#![cfg_attr(feature = "portable-simd", feature(portable_simd))]
 //! Bitwise-distributed columnar storage (the BWD model of Pirk et al.).
 //!
 //! This crate is the storage substrate of the `waste-not` engine:
@@ -30,9 +29,6 @@ pub use bat::{Bat, Head};
 pub use bitpack::{BitPackedVec, BlockDecoder, DECODE_BLOCK};
 pub use column::{Column, ColumnData, Dictionary};
 pub use decompose::{DecomposedColumn, DecompositionMeta, DecompositionSpec};
-pub use lanes::{LaneCount, LaneParams, U64x4, U64x8, U64xN};
+pub use lanes::{LaneParams, U64x4, U64x8, U64xN};
 pub use prefix::{OutOfRange, PrefixBase, PrefixGranularity};
-pub use swar::{
-    mask_count, point_match_mask, range_match_mask, range_match_mask_scalar, swar_applicable,
-    RangeMatcher, SWAR_MAX_WIDTH,
-};
+pub use swar::{mask_count, swar_applicable, RangeMatcher, SWAR_MAX_WIDTH};

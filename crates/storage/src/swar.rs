@@ -32,13 +32,13 @@
 //! Lanes stop paying once they get too wide: past
 //! [`SWAR_MAX_WIDTH`] bits only two lanes fit a word and the lift/compact
 //! bookkeeping costs as much as two scalar compares, so
-//! [`range_match_mask`] falls back to a decode-and-compare loop there
+//! [`RangeMatcher`] falls back to a decode-and-compare loop there
 //! (and for `width == 0`, where no bits exist to compare). Every path is
 //! exhaustively checked equivalent to [`BitPackedVec::get`]-based
 //! evaluation.
 
 use crate::bitpack::{BitPackedVec, DECODE_BLOCK};
-use crate::lanes::{self, LaneCount, LaneParams};
+use crate::lanes::{self, LaneParams};
 use bwd_types::bits::low_mask;
 
 /// Widest element (bits) the SWAR lanes still pay for. At `w = 21` the
@@ -47,7 +47,7 @@ use bwd_types::bits::low_mask;
 /// used.
 pub const SWAR_MAX_WIDTH: u32 = 21;
 
-/// Whether [`range_match_mask`] takes the word-parallel path for
+/// Whether [`RangeMatcher`] takes the word-parallel path for
 /// `width`-bit elements (widths outside `1..=`[`SWAR_MAX_WIDTH`] use the
 /// scalar fallback — with identical results either way).
 #[inline]
@@ -210,16 +210,14 @@ impl<'a> RangeMatcher<'a> {
     ///
     /// When `start` is 64-aligned (every mask-producing scan kernel's
     /// case — partitions are word-aligned) the full blocks run through
-    /// the monomorphized batch kernels in [`crate::lanes`] at the default
-    /// [`LaneCount`]; only a partial tail word (and any unaligned call)
-    /// uses the per-word [`RangeMatcher::match_word`] loop.
+    /// the monomorphized batch kernels in [`crate::lanes`]; only a partial
+    /// tail word (and any unaligned call) uses the per-word
+    /// [`RangeMatcher::match_word`] loop.
+    ///
+    /// # Panics
+    /// Panics if `start + n` is out of bounds or `mask.len() !=
+    /// n.div_ceil(64)`.
     pub fn fill(&self, start: usize, n: usize, mask: &mut [u64]) {
-        self.fill_lanes(start, n, mask, LaneCount::default());
-    }
-
-    /// [`RangeMatcher::fill`] with an explicit batch width (the scan
-    /// benchmark sweeps this; results are identical for every `lc`).
-    pub fn fill_lanes(&self, start: usize, n: usize, mask: &mut [u64], lc: LaneCount) {
         self.check_fill(start, n, mask.len());
         if let MatchKind::Swar { width, p, .. } = self.kind {
             if start.is_multiple_of(64) {
@@ -230,7 +228,6 @@ impl<'a> RangeMatcher<'a> {
                     self.v.words(),
                     start / 64,
                     &mut mask[..full],
-                    lc,
                 );
                 if !n.is_multiple_of(64) {
                     mask[full] = self.match_word(start + full * 64, n % 64);
@@ -238,13 +235,6 @@ impl<'a> RangeMatcher<'a> {
                 return;
             }
         }
-        self.fill_words(start, n, mask);
-    }
-
-    /// [`RangeMatcher::fill`] pinned to the per-word PR 5 loop — the
-    /// baseline the scan benchmark measures the lane kernels against.
-    pub fn fill_per_word(&self, start: usize, n: usize, mask: &mut [u64]) {
-        self.check_fill(start, n, mask.len());
         self.fill_words(start, n, mask);
     }
 
@@ -257,14 +247,7 @@ impl<'a> RangeMatcher<'a> {
     ///
     /// This is the AND-refinement step of a chained mask selection: the
     /// candidate mask never round-trips through an index list.
-    pub fn fill_and(
-        &self,
-        first_word: usize,
-        n: usize,
-        input: &[u64],
-        out: &mut [u64],
-        lc: LaneCount,
-    ) {
+    pub fn fill_and(&self, first_word: usize, n: usize, input: &[u64], out: &mut [u64]) {
         let start = first_word * 64;
         self.check_fill(start, n, out.len());
         assert_eq!(input.len(), out.len(), "input/output word counts differ");
@@ -290,7 +273,7 @@ impl<'a> RangeMatcher<'a> {
                     while j < full && input[j] != 0 {
                         j += 1;
                     }
-                    lanes::fill_blocks(width as u32, p, words, first_word + i, &mut out[i..j], lc);
+                    lanes::fill_blocks(width as u32, p, words, first_word + i, &mut out[i..j]);
                     for w in i..j {
                         out[w] &= input[w];
                     }
@@ -336,72 +319,10 @@ impl<'a> RangeMatcher<'a> {
     }
 }
 
-/// Evaluate `lo <= v[start + k] <= hi` for `k` in `0..n`, writing one
-/// match bit per element into `mask` (bit `k % 64` of `mask[k / 64]`;
-/// bits at `n` and beyond are zero).
-///
-/// Dispatches to the word-parallel SWAR compare when
-/// [`swar_applicable`]`(v.width())`, and to a bulk-decode scalar loop
-/// otherwise; both produce identical masks. `lo > hi` (an empty range)
-/// matches nothing; `hi` past the width's maximum value is clamped.
-///
-/// # Panics
-/// Panics if `start + n > v.len()` or `mask.len() != n.div_ceil(64)`.
-pub fn range_match_mask(
-    v: &BitPackedVec,
-    start: usize,
-    n: usize,
-    lo: u64,
-    hi: u64,
-    mask: &mut [u64],
-) {
-    RangeMatcher::new(v, lo, hi).fill(start, n, mask);
-}
-
-/// [`range_match_mask`] for a point predicate (`v[i] == x`).
-#[inline]
-pub fn point_match_mask(v: &BitPackedVec, start: usize, n: usize, x: u64, mask: &mut [u64]) {
-    range_match_mask(v, start, n, x, x, mask);
-}
-
 /// Matches in a mask (the candidate count of a mask-producing selection).
 #[inline]
 pub fn mask_count(mask: &[u64]) -> usize {
     mask.iter().map(|w| w.count_ones() as usize).sum()
-}
-
-/// The scalar fallback: bulk-decode 64 elements at a time and compare.
-/// Public under a spelled-out name so the scan benchmark can pit the two
-/// paths against each other at any width.
-pub fn range_match_mask_scalar(
-    v: &BitPackedVec,
-    start: usize,
-    n: usize,
-    lo: u64,
-    hi: u64,
-    mask: &mut [u64],
-) {
-    assert!(
-        start.checked_add(n).is_some_and(|end| end <= v.len()),
-        "range {start}.. +{n} out of bounds (len {})",
-        v.len()
-    );
-    assert_eq!(mask.len(), n.div_ceil(64), "mask word count");
-    fill_scalar(v, start, n, lo, hi, mask);
-}
-
-fn fill_scalar(v: &BitPackedVec, start: usize, n: usize, lo: u64, hi: u64, mask: &mut [u64]) {
-    let mut buf = [0u64; DECODE_BLOCK];
-    for (mw, m) in mask.iter_mut().enumerate() {
-        let base = mw * 64;
-        let c = (n - base).min(64);
-        v.unpack_range(start + base, &mut buf[..c]);
-        let mut bits = 0u64;
-        for (k, &x) in buf[..c].iter().enumerate() {
-            bits |= u64::from(x >= lo && x <= hi) << k;
-        }
-        *m = bits;
-    }
 }
 
 #[cfg(test)]
@@ -417,6 +338,12 @@ mod tests {
                 mask[kk / 64] |= 1u64 << (kk % 64);
             }
         }
+        mask
+    }
+
+    fn fill_mask(v: &BitPackedVec, start: usize, n: usize, lo: u64, hi: u64) -> Vec<u64> {
+        let mut mask = vec![0u64; n.div_ceil(64)];
+        RangeMatcher::new(v, lo, hi).fill(start, n, &mut mask);
         mask
     }
 
@@ -461,21 +388,10 @@ mod tests {
                     (330, 1),
                     (7, 0),
                 ] {
-                    let mut mask = vec![0u64; n.div_ceil(64)];
-                    range_match_mask(&v, start, n, lo, hi, &mut mask);
                     assert_eq!(
-                        mask,
+                        fill_mask(&v, start, n, lo, hi),
                         reference_mask(&v, start, n, lo, hi),
                         "width={width} lo={lo} hi={hi} start={start} n={n}"
-                    );
-                    // The scalar path agrees at every width too (it *is*
-                    // the dispatcher's choice outside 1..=21, but must
-                    // also agree where SWAR is chosen).
-                    let mut scalar = vec![0u64; n.div_ceil(64)];
-                    range_match_mask_scalar(&v, start, n, lo, hi, &mut scalar);
-                    assert_eq!(
-                        mask, scalar,
-                        "scalar disagrees: width={width} lo={lo} hi={hi}"
                     );
                 }
             }
@@ -485,83 +401,24 @@ mod tests {
     #[test]
     fn width_zero_matches_iff_range_contains_zero() {
         let v = BitPackedVec::from_slice(0, &vec![0u64; 100]);
-        let mut mask = vec![0u64; 2];
-        range_match_mask(&v, 0, 100, 0, 0, &mut mask);
+        let mask = fill_mask(&v, 0, 100, 0, 0);
         assert_eq!(mask_count(&mask), 100);
         assert_eq!(mask[1], low_mask(36)); // tail bits clear
-        range_match_mask(&v, 0, 100, 1, 5, &mut mask);
-        assert_eq!(mask_count(&mask), 0);
+        assert_eq!(mask_count(&fill_mask(&v, 0, 100, 1, 5)), 0);
     }
 
     #[test]
     fn all_and_none_match_fast_paths() {
         let vals = pseudo_vals(12, 1000, 7);
         let v = BitPackedVec::from_slice(12, &vals);
-        let mut mask = vec![0u64; 1000usize.div_ceil(64)];
-        range_match_mask(&v, 0, 1000, 0, low_mask(12), &mut mask);
-        assert_eq!(mask_count(&mask), 1000);
-        range_match_mask(&v, 0, 1000, 5, 4, &mut mask);
-        assert_eq!(mask_count(&mask), 0);
-    }
-
-    #[test]
-    fn point_mask_is_range_of_one() {
-        let vals: Vec<u64> = (0..500).map(|i| i % 17).collect();
-        let v = BitPackedVec::from_slice(5, &vals);
-        let mut point = vec![0u64; 500usize.div_ceil(64)];
-        let mut range = point.clone();
-        point_match_mask(&v, 0, 500, 9, &mut point);
-        range_match_mask(&v, 0, 500, 9, 9, &mut range);
-        assert_eq!(point, range);
-        assert_eq!(mask_count(&point), vals.iter().filter(|&&x| x == 9).count());
-    }
-
-    /// The lane-batched fill, the per-word fill, and `fill_and` against
-    /// an all-ones input agree at every width class and batch width.
-    #[test]
-    fn lane_fill_agrees_with_per_word_fill() {
-        for width in [1u32, 3, 7, 12, 16, 20, 21, 22, 32] {
-            let vals = pseudo_vals(width, 1000, u64::from(width));
-            let v = BitPackedVec::from_slice(width, &vals);
-            let max = low_mask(width);
-            let m = RangeMatcher::new(&v, max / 8, max / 2);
-            for &(start, n) in &[
-                (0usize, 1000usize),
-                (0, 993),
-                (64, 640),
-                (128, 65),
-                (3, 900),
-            ] {
-                let words = n.div_ceil(64);
-                let mut per_word = vec![0u64; words];
-                m.fill_per_word(start, n, &mut per_word);
-                for lc in [LaneCount::X4, LaneCount::X8] {
-                    let mut lane = vec![0u64; words];
-                    m.fill_lanes(start, n, &mut lane, lc);
-                    assert_eq!(lane, per_word, "width={width} start={start} n={n} {lc:?}");
-                }
-                if start.is_multiple_of(64) {
-                    let mut anded = vec![0u64; words];
-                    m.fill_and(
-                        start / 64,
-                        n,
-                        &vec![u64::MAX; words],
-                        &mut anded,
-                        LaneCount::X4,
-                    );
-                    let mut expect = per_word.clone();
-                    if !n.is_multiple_of(64) {
-                        *expect.last_mut().unwrap() &= low_mask((n % 64) as u32);
-                    }
-                    assert_eq!(anded, expect, "fill_and width={width} n={n}");
-                }
-            }
-        }
+        assert_eq!(mask_count(&fill_mask(&v, 0, 1000, 0, low_mask(12))), 1000);
+        assert_eq!(mask_count(&fill_mask(&v, 0, 1000, 5, 4)), 0);
     }
 
     /// `fill_and` refines an arbitrary input mask exactly like computing
     /// the full match mask and ANDing after the fact — including its
-    /// zero-word skip path and the all/empty fast kinds.
+    /// zero-word skip path, the all/empty fast kinds, an all-ones input,
+    /// and a first word past the start of the vector.
     #[test]
     fn fill_and_equals_fill_then_and() {
         for width in [5u32, 13, 21, 24] {
@@ -570,35 +427,40 @@ mod tests {
             let max = low_mask(width);
             for (lo, hi) in [(max / 8, max / 2), (0, max), (3, 1), (0, 0)] {
                 let m = RangeMatcher::new(&v, lo, hi);
-                let n = 777usize;
-                let words = n.div_ceil(64);
-                // A patchy input: zero words, dense words, sparse words.
-                let input: Vec<u64> = (0..words as u64)
-                    .map(|i| match i % 4 {
-                        0 => 0,
-                        1 => u64::MAX,
-                        _ => i.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    })
-                    .collect();
-                let mut plain = vec![0u64; words];
-                m.fill(0, n, &mut plain);
-                let expect: Vec<u64> = plain.iter().zip(&input).map(|(a, b)| a & b).collect();
-                for lc in [LaneCount::X4, LaneCount::X8] {
-                    let mut got = vec![0u64; words];
-                    m.fill_and(0, n, &input, &mut got, lc);
-                    assert_eq!(got, expect, "width={width} lo={lo} hi={hi} {lc:?}");
+                for first_word in [0usize, 2] {
+                    let n = 777 - first_word * 64;
+                    let words = n.div_ceil(64);
+                    // A patchy input: zero words, dense words, sparse words.
+                    let patchy: Vec<u64> = (0..words as u64)
+                        .map(|i| match i % 4 {
+                            0 => 0,
+                            1 => u64::MAX,
+                            _ => i.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                        })
+                        .collect();
+                    let plain = reference_mask(&v, first_word * 64, n, lo, hi);
+                    for input in [patchy, vec![u64::MAX; words]] {
+                        let expect: Vec<u64> =
+                            plain.iter().zip(&input).map(|(a, b)| a & b).collect();
+                        let mut got = vec![0u64; words];
+                        m.fill_and(first_word, n, &input, &mut got);
+                        assert_eq!(
+                            got, expect,
+                            "width={width} lo={lo} hi={hi} first={first_word}"
+                        );
+                    }
                 }
             }
         }
     }
 
     proptest! {
-        /// SWAR == scalar == `get` for arbitrary widths (0..=64, so both
+        /// The fill equals `get` for arbitrary widths (0..=64, so both
         /// dispatcher arms and the 20/21/22 lane boundary are hit),
         /// arbitrary sub-ranges (word straddles included) and arbitrary
         /// bounds, including empty and clamped ranges.
         #[test]
-        fn prop_swar_equals_scalar_and_get(
+        fn prop_fill_equals_get(
             width in 0u32..=64,
             raw in proptest::collection::vec(any::<u64>(), 0..400),
             start_frac in 0u32..1000,
@@ -616,13 +478,8 @@ mod tests {
             let domain = mask_w as u128 + 1;
             let lo = ((domain * lo_frac as u128) / 1000).min(u64::MAX as u128) as u64;
             let hi = lo.saturating_add(((domain * span_frac as u128) / 1000) as u64);
-            let mut got = vec![0u64; n.div_ceil(64)];
-            range_match_mask(&v, start, n, lo, hi, &mut got);
-            prop_assert_eq!(&got, &reference_mask(&v, start, n, lo, hi),
+            prop_assert_eq!(fill_mask(&v, start, n, lo, hi), reference_mask(&v, start, n, lo, hi),
                 "width={} start={} n={} lo={} hi={}", width, start, n, lo, hi);
-            let mut scalar = vec![0u64; n.div_ceil(64)];
-            range_match_mask_scalar(&v, start, n, lo, hi, &mut scalar);
-            prop_assert_eq!(&got, &scalar);
         }
 
         /// Lane-boundary widths get a dedicated dense sweep: 20 (2 spare
@@ -639,9 +496,7 @@ mod tests {
             let v = BitPackedVec::from_slice(width, &vals);
             let lo = lo & low_mask(width + 1);
             let hi = hi & low_mask(width + 1);
-            let mut got = vec![0u64; 200usize.div_ceil(64)];
-            range_match_mask(&v, 0, 200, lo, hi, &mut got);
-            prop_assert_eq!(got, reference_mask(&v, 0, 200, lo, hi));
+            prop_assert_eq!(fill_mask(&v, 0, 200, lo, hi), reference_mask(&v, 0, 200, lo, hi));
         }
     }
 }

@@ -92,7 +92,7 @@ fn figure6_min_with_false_positives() -> Result<()> {
     // Precise query: select min(y) from r where x > 6.
     let range = RangePred::from_cmp(CmpOp::Gt, 6).unwrap();
     let mut ledger = CostLedger::new();
-    let cands = select_approx(&env, &x, &range, &ScanOptions::default(), &mut ledger);
+    let cands = select_approx(&env, &x, None, &range, &ScanOptions::default(), &mut ledger);
     println!(
         "relaxed selection candidates: {:?} (x=5 at oid 1 is a false positive with the smallest y)",
         cands.oids

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use waste_not::core::plan::{AggExpr, AggFunc, LogicalPlan, Predicate, RewriteOptions, ScalarExpr};
 use waste_not::core::CmpOp;
-use waste_not::engine::{Database, ExecMode};
+use waste_not::engine::{ArExecOptions, CandidateRep, Database, ExecMode};
 use waste_not::storage::Column;
 use waste_not::Value;
 
@@ -50,19 +50,44 @@ fn count_sum_plan(pred: Predicate, group: bool) -> LogicalPlan {
     )
 }
 
+/// For half the picks, a literal at an edge: just past, at, and inside the
+/// `i32` domain bounds, and one past and one inside the column's own
+/// min/max. `None` (the other half) keeps the random literal.
+fn edge_literal(vals: &[i32], pick: usize) -> Option<i64> {
+    let min = *vals.iter().min().unwrap() as i64;
+    let max = *vals.iter().max().unwrap() as i64;
+    let edges = [
+        i32::MIN as i64 - 1,
+        i32::MIN as i64,
+        i32::MAX as i64,
+        i32::MAX as i64 + 1,
+        min - 1,
+        min + 1,
+        max - 1,
+        max + 1,
+    ];
+    edges.get(pick.checked_sub(8)?).copied()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random data, random predicate, random decomposition width: classic
-    /// and A&R agree exactly (grouped and global).
+    /// and A&R agree exactly (grouped and global). Either bound may also
+    /// be a literal at or past the edge of the `i32` domain or of the
+    /// column's own value range.
     #[test]
     fn prop_classic_equals_ar(
         vals in proptest::collection::vec(-50_000i32..50_000, 1..500),
         lo in -60_000i64..60_000,
         span in 0i64..50_000,
+        lo_edge in 0usize..16,
+        hi_edge in 0usize..16,
         bits in 18u32..=32,
         group in any::<bool>(),
     ) {
+        let lo = edge_literal(&vals, lo_edge).unwrap_or(lo);
+        let hi = edge_literal(&vals, hi_edge).unwrap_or(lo + span);
         let groups: Vec<i32> = vals.iter().map(|v| v.rem_euclid(7)).collect();
         let mut db = db_with(vals, groups);
         db.bwdecompose("t", "a", bits).unwrap();
@@ -70,7 +95,7 @@ proptest! {
             Predicate::Between {
                 column: "a".into(),
                 lo: Value::Int(lo),
-                hi: Value::Int(lo + span),
+                hi: Value::Int(hi),
             },
             group,
         );
@@ -205,6 +230,50 @@ fn empty_results_and_full_results() {
         let ar = db.run(&plan, ExecMode::ApproxRefine).unwrap();
         assert_eq!(classic.rows, ar.rows);
         assert_eq!(ar.rows[0][0], Value::Int(expect));
+    }
+}
+
+/// Literals outside an `i32` column's domain compare as in SQL: A&R
+/// returns Classic's answer under every candidate representation
+/// (relaxation clamps the bounds to the domain instead of wrapping them).
+#[test]
+fn out_of_domain_literals_match_classic_under_every_rep() {
+    let mut db = db_with((0..1000).collect(), vec![0; 1000]);
+    db.bwdecompose("t", "a", 6).unwrap();
+    let past_max = i32::MAX as i64 + 1;
+    let cmp = |op, x| Predicate::Cmp {
+        column: "a".into(),
+        op,
+        value: Value::Int(x),
+    };
+    let cases = [
+        (cmp(CmpOp::Le, past_max), 1000),
+        (cmp(CmpOp::Ge, i32::MIN as i64 - 1), 1000),
+        (
+            Predicate::Between {
+                column: "a".into(),
+                lo: Value::Int(10),
+                hi: Value::Int(past_max),
+            },
+            990,
+        ),
+    ];
+    for (pred, expect) in cases {
+        let plan = count_sum_plan(pred, false);
+        let classic = db.run(&plan, ExecMode::Classic).unwrap();
+        assert_eq!(classic.rows[0][0], Value::Int(expect));
+        for rep in [
+            CandidateRep::Indices,
+            CandidateRep::Bitmap,
+            CandidateRep::Auto,
+        ] {
+            let mode = ExecMode::ApproxRefineWith(ArExecOptions {
+                candidates: rep,
+                ..Default::default()
+            });
+            let ar = db.run(&plan, mode).unwrap();
+            assert_eq!(ar.rows, classic.rows, "{rep:?}");
+        }
     }
 }
 

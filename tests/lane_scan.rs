@@ -6,15 +6,15 @@
 //! PCI-E traffic and simulated component costs as the serial
 //! single-socket index run — including chains where a dimension-side
 //! predicate AND-refines the running bitmap through the FK link. A
-//! storage-level sweep additionally pins both lane counts (X4 / X8) to
-//! the per-word SWAR baseline at every packed width and at straddling,
+//! storage-level sweep additionally pins the lane-batched fill to
+//! `get`-based evaluation at every packed width and at straddling,
 //! unaligned spans.
 
 use waste_not::core::plan::ScalarExpr as E;
 use waste_not::core::plan::{AggExpr, AggFunc, ArPlan, BinOp, LogicalPlan, Predicate};
 use waste_not::data::{gen_lineitem, gen_part, micro, TpchConfig};
 use waste_not::engine::{run_ar_in, ArExecOptions, CandidateRep, Database};
-use waste_not::storage::{BitPackedVec, Column, LaneCount, RangeMatcher};
+use waste_not::storage::{BitPackedVec, Column, RangeMatcher};
 use waste_not::Value;
 
 const SOCKETS: [u32; 3] = [1, 2, 4];
@@ -152,8 +152,8 @@ fn dim_chain_identical_across_sockets() {
     assert_socket_sweep_bit_identical(&db, &plan, "Q14-shaped space-constrained");
 }
 
-/// Storage-level pin: both lane counts agree with the per-word SWAR
-/// baseline at every packable width (1..=21, the 20/21 group boundaries
+/// Storage-level pin: the lane-batched fill agrees with `get`-based
+/// evaluation at every packable width (1..=21, the 20/21 group boundaries
 /// included), over unaligned spans whose first and last words are
 /// partially covered.
 #[test]
@@ -170,13 +170,14 @@ fn lane_counts_match_per_word_swar_at_every_width() {
         let spans: [(usize, usize); 4] =
             [(0, n), (64, n - 64), (0, 64 * 9 + 3), (64 * 3, 64 * 8 + 1)];
         for (start, len) in spans {
-            let mut base = vec![0u64; len.div_ceil(64)];
-            m.fill_per_word(start, len, &mut base);
-            for lc in [LaneCount::X4, LaneCount::X8] {
-                let mut got = vec![0u64; len.div_ceil(64)];
-                m.fill_lanes(start, len, &mut got, lc);
-                assert_eq!(got, base, "width={width} start={start} len={len} {lc:?}");
+            let mut expect = vec![0u64; len.div_ceil(64)];
+            for k in 0..len {
+                let v = packed.get(start + k);
+                expect[k / 64] |= u64::from(v >= lo && v <= hi) << (k % 64);
             }
+            let mut got = vec![0u64; len.div_ceil(64)];
+            m.fill(start, len, &mut got);
+            assert_eq!(got, expect, "width={width} start={start} len={len}");
         }
     }
 }
